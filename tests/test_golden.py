@@ -1,0 +1,86 @@
+"""Golden outputs: every file a CLI run writes must match, byte for byte, the
+sha256 digests recorded from the code at commit
+d57707fc9afd6ced4fab26110b72f2d75d3ff215, before any refactor of ``src/``.
+
+A run is a pure function of (config, seed), so any change to a digest here
+is a change in behaviour. Re-record only for a change that means to alter
+the outputs, and say so.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from hexswarm.cli import main
+
+REPO = Path(__file__).resolve().parents[1]
+
+# (scenario file, extra CLI flags) -> (exit code, {output file: sha256})
+GOLDEN = {
+    ("scenarios/ga_default.cfg", "--seed 1"): (2, {
+        "summary.json": "8f1cd2a8d5d556218c22cfd1fe8a774e1530ea3caf2fcf65bd621bde0da1ed58",
+        "trace.csv": "0cc2acc76d6899b7f78a9af2252818e1b7ce898430a80ac1f82e17c555a49b45",
+        "tracker.csv": "b34a762fff45a9ac9187bee4fdff368ac144d9c883cc87606ab9e58a8f62a8cf",
+    }),
+    ("scenarios/ga_default.cfg", "--seed 2"): (2, {
+        "summary.json": "b110daeca32bba87c9a80577ee25bb3b176f76c9e8ff1c96019803f8c551a714",
+        "trace.csv": "53d557319f564cb32d1de1b5d38f0bba15af8a599b2d6b3e8552711f52c18916",
+        "tracker.csv": "29ef960ea75aaeae6bc296ad7c6caa21b72e706cd44e74d244fae5ee0ea493a6",
+    }),
+    ("scenarios/ga_default.cfg", "--seed 3"): (2, {
+        "summary.json": "d555f9a1577c3eb51fb5b0310dd4fc5e1accba3412a7d7a6eea401622c548b10",
+        "trace.csv": "185d0d091956ce0dae000217282a5ea12b0a602d2a8d107fefc55cd678bd2576",
+        "tracker.csv": "179fcb69e785082a62f938635f3ac33cfa563bd06140207c0ecee7fbe19a6149",
+    }),
+    ("scenarios/aco_trails.cfg", "--seed 1"): (2, {
+        "field.csv": "ff5620f4920b068cdaa220d7115d02779798a737bc4e18e78c4b656267e0aea0",
+        "summary.json": "54b1c352e64254f61f21fb5ff8e46e7fc6b31762cbc325077c425b5e887abb5d",
+        "trace.csv": "b316565a74875794694c0851dcb27d0913b66c7047a5192ac655ccb452e9948f",
+        "tracker.csv": "b045d80ef1881074c4251688642d0638bd0d56fae1af0c5645f5b49e7a4b7436",
+    }),
+    ("scenarios/aco_trails.cfg", "--seed 2"): (2, {
+        "field.csv": "8d5f2532529ada8c26143e8cc7df769fe19881bbcf978adc31efcc2bd6c408b0",
+        "summary.json": "c6a0a0400449f5b51747e3108c07f210bd18bafbfc4f2b0257e74124ea66e8bc",
+        "trace.csv": "391cd13802c6e8b56f761fa66debea7ee3d2a45f8366db469d9726fc679a4bf0",
+        "tracker.csv": "9b370dc9c33754b7ed129bf48628e97419181f19b1898551b0de6bab79871b08",
+    }),
+    ("scenarios/aco_trails.cfg", "--seed 3"): (2, {
+        "field.csv": "03dff1d7c7207b28d150b5c2381a38b865425e651e9eaccaed1ed248a0a27f7d",
+        "summary.json": "63fbaa4b76e1579be406a8371a618415358df72aa7d3284efbc828de90546d8c",
+        "trace.csv": "05b523400e24ca1726a92f5a4d30a15a71776ceceeed50290125613a99e42d98",
+        "tracker.csv": "9510e10a0d1104f1ef8c19e502ba8951b92f3b5c5956686e93649b757a5c33db",
+    }),
+    ("scenarios/bco_failover.cfg", "--seed 1"): (2, {
+        "summary.json": "6c78ef4176e70625b9275c6a65782063bb4ce290982dd4e28e088c019a1282e6",
+        "trace.csv": "155754f03c1085360dc689fd03bfcc4ba652eb3f70370e98870a0ef8160481e6",
+        "tracker.csv": "8f9819e066ea52eff2c1a0dc82f63b09641141d0bef3e2a22c2c549f922532de",
+    }),
+    ("scenarios/bco_failover.cfg", "--seed 2"): (2, {
+        "summary.json": "765c5274a42f123bcdf63d60e23fe0659c42d44757b450052810bf28f1228fb0",
+        "trace.csv": "4ca075f835f8cb46afff6a91b66e41f26b3d25418ccf0bcc677ac227a131a4c3",
+        "tracker.csv": "537ea6e3fb3225b9e1af41b55443e05ac3772f6c624e608cfd7dbc55e58738a3",
+    }),
+    ("scenarios/bco_failover.cfg", "--seed 3"): (2, {
+        "summary.json": "c2ca87a47491370acb0f63ba566f7994dcae872c6d6e84575a9d0e3e23585b9c",
+        "trace.csv": "8b4cfabf6a33b9f2b8bdab2ef56692af47c132debdf9bae0459dbb2fc2973551",
+        "tracker.csv": "733ad7057762a26bba241b75fc65783c6f98d07bb507651260d32c202cf85e50",
+    }),
+    ("perfbench/scenarios/dense.cfg", "--controller aco --seed 1 --ticks 100"): (2, {
+        "field.csv": "26d798902a38307c6aa0b20d2f5152293a34f3a436d0363bf96c4b8d190b62a4",
+        "summary.json": "2e276095955242bd45d344a807bede56de307f5f2c446fe4a1b92595d28a5e51",
+        "trace.csv": "5d0216d173eed5dbb4e32cf5c4ee1a1b76c5e5227aa55248035a0396974f5e90",
+        "tracker.csv": "ff81f6b1eb2846fa0759898d74b487e5457919edc2820ea55f6c7991e71d7f08",
+    }),
+}
+
+
+@pytest.mark.parametrize(
+    "scenario,flags", list(GOLDEN), ids=[f"{s.rsplit('/', 1)[-1]} {f}" for s, f in GOLDEN]
+)
+def test_outputs_match_recorded_digests(tmp_path, scenario, flags):
+    code = main(["--scenario", str(REPO / scenario), *flags.split(), "--out", str(tmp_path)])
+    digests = {
+        p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())
+    }
+    assert (code, digests) == GOLDEN[(scenario, flags)]
