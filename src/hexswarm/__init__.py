@@ -43,7 +43,6 @@ from .engine import (
 from .ga import (
     Chromosome,
     GaParams,
-    Observation,
     crossover,
     decide_move_ga,
     fitness,
@@ -54,6 +53,7 @@ from .hexworld import (
     Direction,
     HexCoord,
     Move,
+    Observation,
     World,
     WorldConfigError,
     accessible_neighbors,

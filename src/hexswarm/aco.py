@@ -15,15 +15,14 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .hexworld import (
-    DIRECTIONS,
     Direction,
     HexCoord,
     Move,
+    Observation,
     World,
     accessible_neighbors,
     hex_distance,
 )
-from .ga import Observation
 
 PRUNE_LEVEL = 1e-9
 
@@ -76,9 +75,6 @@ class PheromoneField:
             c: lv * keep for c, lv in self.levels.items() if lv * keep >= PRUNE_LEVEL
         }
         return self
-
-    def copy(self) -> "PheromoneField":
-        return PheromoneField(self.params, dict(self.levels))
 
 
 def transition_probs(

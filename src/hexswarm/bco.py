@@ -14,12 +14,12 @@ from typing import Optional
 from .hexworld import (
     Direction,
     Move,
+    Observation,
     World,
     accessible_neighbors,
     hex_distance,
     step,
 )
-from .ga import Observation
 
 
 class Task(Enum):

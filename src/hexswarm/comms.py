@@ -2,11 +2,11 @@
 TTL-bounded flooding with duplicate suppression, and a tracker that records
 every multi-hop delivery.
 
-Flooding runs in synchronous rounds. A message queued with remaining ttl t
-is relayed to all comm neighbors with ttl t - 1; a copy arriving with ttl 0
-is delivered but travels no further. Duplicates are dropped on (origin, seq),
-so a robot at hop distance h from the origin receives the message exactly
-once, at hop count h, iff h <= the initial ttl.
+Flooding runs in synchronous rounds. A robot that received a message at hop
+count h relays it to all comm neighbors, who receive it at hop count h + 1,
+while h < the message's ttl. Duplicates are dropped on (origin, seq), so a
+robot at hop distance h from the origin receives the message exactly once,
+at hop count h, iff h <= the ttl.
 """
 
 from __future__ import annotations
@@ -82,7 +82,7 @@ class TrackerLog:
 
 
 class Delivery(NamedTuple):
-    message: Message  # ttl field holds the remaining hops on arrival
+    message: Message  # as originated; every relay shares it
     hops: int
 
 
@@ -92,7 +92,7 @@ class Mailbox:
 
     delivered: list[Delivery] = field(default_factory=list)
     seen: set[tuple[int, int]] = field(default_factory=set)
-    outbound: list[tuple[Message, int]] = field(default_factory=list)
+    outbound: list[Delivery] = field(default_factory=list)
 
 
 def new_mailboxes(robot_ids) -> dict[int, Mailbox]:
@@ -100,10 +100,12 @@ def new_mailboxes(robot_ids) -> dict[int, Mailbox]:
 
 
 def send(mailboxes: dict[int, Mailbox], origin: int, msg: Message) -> None:
-    """Inject a freshly originated message; the origin never re-receives it."""
+    """Inject a freshly originated message; the origin never re-receives it,
+    and a message with ttl 0 goes nowhere."""
     box = mailboxes[origin]
     box.seen.add(msg.msg_id)
-    box.outbound.append((msg, 0))
+    if msg.ttl > 0:
+        box.outbound.append(Delivery(msg, 0))
 
 
 def comm_neighbors(
@@ -132,10 +134,10 @@ def flood_round(
     so the round is deterministic. Pass a precomputed adjacency map to skip
     re-deriving neighbor sets when positions have not changed.
     """
-    next_outbound: dict[int, list[tuple[Message, int]]] = {rid: [] for rid in mailboxes}
+    next_outbound: dict[int, list[Delivery]] = {rid: [] for rid in mailboxes}
     deliveries = 0
     for rid in sorted(mailboxes):
-        queue = sorted(mailboxes[rid].outbound, key=lambda mh: mh[0].msg_id)
+        queue = sorted(mailboxes[rid].outbound, key=lambda d: d.message.msg_id)
         if not queue:
             continue
         if adjacency is not None:
@@ -145,19 +147,19 @@ def flood_round(
                 n for n in comm_neighbors(positions, rid, comm_range) if n in mailboxes
             )
         for msg, hops in queue:
-            if msg.ttl <= 0:
-                continue  # delivered previously, travels no further
-            relayed = Message(msg.origin, msg.seq, msg.kind, msg.payload, msg.ttl - 1)
-            msg_id = relayed.msg_id
+            msg_id = msg.msg_id
+            hops += 1
+            relayed = Delivery(msg, hops)  # shared by every neighbor it reaches
+            relays_on = hops < msg.ttl
             for nb in neighbors:
                 nb_box = mailboxes[nb]
                 if msg_id in nb_box.seen:
                     continue
                 nb_box.seen.add(msg_id)
-                nb_box.delivered.append(Delivery(relayed, hops + 1))
-                if relayed.ttl > 0:
-                    next_outbound[nb].append((relayed, hops + 1))
-                tracker.record(tick, relayed, nb, hops + 1)
+                nb_box.delivered.append(relayed)
+                if relays_on:
+                    next_outbound[nb].append(relayed)
+                tracker.record(tick, msg, nb, hops)
                 deliveries += 1
     for rid, box in mailboxes.items():
         box.outbound = next_outbound[rid]

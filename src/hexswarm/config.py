@@ -1,13 +1,15 @@
 """Scenario configuration: a flat ``key = value`` text format with one
 optional ``[ga]`` / ``[aco]`` / ``[bco]`` section per controller block.
 
-Missing keys take the documented defaults; unknown keys are rejected with
-their line number. Full-line comments start with '#'.
+Missing keys take the documented defaults; unknown keys, duplicate keys and
+repeated sections are rejected with their line number. Full-line comments
+start with '#'.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from typing import Any, Callable, get_type_hints
 
 from .aco import AcoParams
 from .bco import BcoParams
@@ -59,42 +61,25 @@ def _parse_removals(value: str) -> list[tuple[int, int]]:
     return out
 
 
-_TOP_PARSERS = {
-    "controller": str,
-    "robots": int,
-    "radius": int,
-    "margin": int,
-    "target": _parse_coord,
-    "entry": _parse_coord,
-    "seed": int,
-    "max_ticks": int,
-    "comm_range": int,
-    "ttl": int,
-    "sensing_radius": int,
-    "removals": _parse_removals,
+# Value parser per declared field type; every config key is a dataclass field.
+_PARSE_BY_TYPE = {
+    int: int,
+    float: float,
+    str: str,
+    HexCoord: _parse_coord,
+    list[tuple[int, int]]: _parse_removals,
 }
 
+
+def _key_parsers(cls: type) -> dict[str, Callable[[str], Any]]:
+    types = get_type_hints(cls)
+    return {f.name: _PARSE_BY_TYPE[types[f.name]] for f in fields(cls) if f.name not in CONTROLLERS}
+
+
+# Each controller's parameters live in a [section] and a field named after it.
+_TOP_PARSERS = _key_parsers(ScenarioConfig)
 _SECTION_PARSERS = {
-    "ga": {
-        "population": int,
-        "generations": int,
-        "tournament_k": int,
-        "crossover_prob": float,
-        "mutation_prob": float,
-        "alignment_weight": float,
-    },
-    "aco": {
-        "evaporation": float,
-        "deposit_scale": float,
-        "alpha": float,
-        "beta": float,
-        "floor": float,
-    },
-    "bco": {
-        "follow_gain": float,
-        "scout_prob": float,
-        "leader_timeout": int,
-    },
+    name: _key_parsers(get_type_hints(ScenarioConfig)[name]) for name in CONTROLLERS
 }
 
 
@@ -103,6 +88,8 @@ def parse_config(text: str) -> ScenarioConfig:
     number on parse problems and the field name on validation problems."""
     cfg = ScenarioConfig()
     section = None
+    target, parsers, seen_keys = cfg, _TOP_PARSERS, set()
+    seen_sections = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -111,25 +98,24 @@ def parse_config(text: str) -> ScenarioConfig:
             section = line[1:-1].strip()
             if section not in _SECTION_PARSERS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
+            if section in seen_sections:
+                raise ConfigError(f"line {lineno}: repeated section [{section}]")
+            seen_sections.add(section)
+            target, parsers, seen_keys = getattr(cfg, section), _SECTION_PARSERS[section], set()
             continue
         key, eq, value = (s.strip() for s in line.partition("="))
         if not eq:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
-        if section is None:
-            if key not in _TOP_PARSERS:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
-            try:
-                setattr(cfg, key, _TOP_PARSERS[key](value))
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
-        else:
-            parsers = _SECTION_PARSERS[section]
-            if key not in parsers:
-                raise ConfigError(f"line {lineno}: unknown key {key!r} in [{section}]")
-            try:
-                setattr(getattr(cfg, section), key, parsers[key](value))
-            except ValueError as exc:
-                raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
+        where = f" in [{section}]" if section else ""
+        if key not in parsers:
+            raise ConfigError(f"line {lineno}: unknown key {key!r}{where}")
+        if key in seen_keys:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}{where}")
+        seen_keys.add(key)
+        try:
+            setattr(target, key, parsers[key](value))
+        except ValueError as exc:
+            raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from exc
     validate_config(cfg)
     return cfg
 
@@ -183,13 +169,13 @@ def validate_config(cfg: ScenarioConfig) -> None:
 
 
 def config_overrides(cfg: ScenarioConfig, **overrides) -> ScenarioConfig:
-    """Return a copy with the given non-None top-level fields replaced."""
+    """Return a copy, sharing no mutable field with cfg, with the given
+    non-None top-level fields replaced."""
     names = {f.name for f in fields(ScenarioConfig)}
-    out = ScenarioConfig(
-        **{name: getattr(cfg, name) for name in names if name not in ("ga", "aco", "bco")},
-        ga=cfg.ga,
-        aco=cfg.aco,
-        bco=cfg.bco,
+    out = replace(
+        cfg,
+        removals=list(cfg.removals),
+        **{name: replace(getattr(cfg, name)) for name in CONTROLLERS},
     )
     for key, value in overrides.items():
         if value is None:

@@ -38,8 +38,8 @@ from .comms import (
     send,
 )
 from .config import ScenarioConfig
-from .ga import Observation, decide_move_ga
-from .hexworld import Direction, HexCoord, World, hex_distance, make_world, step
+from .ga import decide_move_ga
+from .hexworld import Direction, HexCoord, Observation, World, hex_distance, make_world, step
 
 STATUS_SUCCESS = "success"
 STATUS_TIMEOUT = "timeout"
@@ -73,7 +73,6 @@ def derive_rng(root_seed: int, *labels) -> random.Random:
 @dataclass
 class Robot:
     id: int
-    controller: str
     pos: Optional[HexCoord] = None
     heading: Direction = Direction.E
     last_speed: int = 0
@@ -106,7 +105,7 @@ class SimState:
     pending_spawn: list[int]
     rng_root: int
     tick: int = 0
-    board: Optional[DanceBoard] = None
+    board: Optional[DanceBoard] = None  # bco only
     tracker: TrackerLog = field(default_factory=TrackerLog)
     global_pher: Optional[PheromoneField] = None  # observer field, never read by robots
     visited: set[HexCoord] = field(default_factory=set)
@@ -131,11 +130,7 @@ class SimState:
 def init_state(cfg: ScenarioConfig) -> SimState:
     world = make_world(cfg.radius, cfg.margin, cfg.target, cfg.entry)
     robots = {
-        rid: Robot(
-            id=rid,
-            controller=cfg.controller,
-            pher=PheromoneField(cfg.aco) if cfg.controller == "aco" else None,
-        )
+        rid: Robot(id=rid, pher=PheromoneField(cfg.aco) if cfg.controller == "aco" else None)
         for rid in range(cfg.robots)
     }
     return SimState(
@@ -231,11 +226,7 @@ def _emit_reports(state: SimState) -> dict[int, tuple[HexCoord, Optional[int], l
             msgs.append(
                 Message(rid, robot.take_seq(), TARGET_REPORT, TargetReport(sensed, state.tick), cfg.ttl)
             )
-        if (
-            cfg.controller == "bco"
-            and state.board is not None
-            and state.board.leader == rid
-        ):
+        if state.board is not None and state.board.leader == rid:
             msgs.append(
                 Message(
                     rid,
@@ -333,14 +324,10 @@ def tick(state: SimState) -> None:
     state.last_observations = observations
 
     if cfg.controller == "bco":
-        if state.board is not None:
-            leader_heard = any(
-                d.message.kind == DANCE_ADVERT and d.message.origin == state.board.leader
-                for box in mailboxes.values()
-                for d in box.delivered
-            )
-            if leader_heard:
-                state.board.last_heard_tick = t
+        # Only the current leader emits a dance advert, so any robot that
+        # heard one heard the leader.
+        if heard:
+            state.board.last_heard_tick = t
         live = state.live_ids()
         if live:
             state.board = elect_leader(
@@ -388,7 +375,7 @@ def tick(state: SimState) -> None:
     actors = state.live_ids()
     components = connectivity_components(state.positions(), cfg.comm_range)
     comp_size = {rid: len(comp) for comp in components for rid in comp}
-    leader_id = state.board.leader if (cfg.controller == "bco" and state.board) else ""
+    leader_id = state.board.leader if state.board else ""
     for rid in actors:
         robot = state.robots[rid]
         state.trace.append(

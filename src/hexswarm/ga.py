@@ -9,7 +9,7 @@ movement headings its neighbors reported.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from .hexworld import (
@@ -17,9 +17,10 @@ from .hexworld import (
     Direction,
     HexCoord,
     Move,
+    Observation,
     World,
     hex_distance,
-    step,
+    walk,
 )
 
 SPEEDS = (0, 1, 2)
@@ -28,17 +29,6 @@ SPEEDS = (0, 1, 2)
 class Chromosome(NamedTuple):
     direction: Direction
     speed: int  # cells per tick, in {0, 1, 2}
-
-
-@dataclass
-class Observation:
-    """What a robot knows when it decides: its cell, comm degree, best known
-    target distance (own sensing or relayed), and neighbor headings."""
-
-    situation: HexCoord
-    degree: int
-    best_known_target_distance: Optional[int] = None
-    neighbor_headings: list[tuple[Direction, int]] = field(default_factory=list)
 
 
 @dataclass
@@ -51,51 +41,32 @@ class GaParams:
     alignment_weight: float = 0.25
 
 
-def landing_cell(w: World, start: HexCoord, direction: Direction, speed: int) -> HexCoord:
-    """Apply unit steps until speed is exhausted or the next cell is inaccessible."""
-    cell = start
-    for _ in range(speed):
-        nxt = step(cell, direction)
-        if not w.accessible(nxt):
-            break
-        cell = nxt
-    return cell
-
-
-def feasible_steps(w: World, start: HexCoord, direction: Direction, speed: int) -> int:
-    """How many of the requested unit steps stay on accessible cells."""
-    cell = start
-    taken = 0
-    for _ in range(speed):
-        nxt = step(cell, direction)
-        if not w.accessible(nxt):
-            break
-        cell = nxt
-        taken += 1
-    return taken
-
-
-def alignment(direction: Direction, neighbor_headings: list[tuple[Direction, int]]) -> float:
-    """Fraction of reported neighbor headings equal to direction (0 if none)."""
-    if not neighbor_headings:
-        return 0.0
-    matches = sum(1 for d, _ in neighbor_headings if d == direction)
-    return matches / len(neighbor_headings)
+def fitness_table(obs: Observation, w: World, params: GaParams) -> list[float]:
+    """Fitness of all 18 (direction, speed) pairs, flat-indexed by
+    direction * 3 + speed: the landing cell's improvement on the best known
+    target distance (0 when unknown) plus the weighted fraction of neighbor
+    headings equal to the direction."""
+    weight = params.alignment_weight
+    known = obs.best_known_target_distance
+    heads = obs.neighbor_headings
+    counts = [0] * 6
+    for d, _ in heads:
+        counts[d] += 1
+    table = []
+    for d in DIRECTIONS:
+        bonus = weight * counts[d] / len(heads) if heads else 0.0
+        for s in SPEEDS:
+            if known is None:
+                table.append(bonus)
+            else:
+                land, _ = walk(w, obs.situation, d, s)
+                table.append(known - hex_distance(land, w.target) + bonus)
+    return table
 
 
 def fitness(ch: Chromosome, obs: Observation, w: World, params: GaParams | None = None) -> float:
-    """Distance improvement of the landing cell plus weighted heading alignment."""
-    weight = (params or GaParams()).alignment_weight
-    land = landing_cell(w, obs.situation, ch.direction, ch.speed)
-    if obs.best_known_target_distance is not None:
-        dd = obs.best_known_target_distance - hex_distance(land, w.target)
-    else:
-        dd = 0.0
-    return dd + weight * alignment(ch.direction, obs.neighbor_headings)
-
-
-def random_chromosome(rng: random.Random) -> Chromosome:
-    return Chromosome(Direction(rng.randrange(6)), rng.randrange(3))
+    """Fitness of one chromosome: its entry in fitness_table."""
+    return fitness_table(obs, w, params or GaParams())[ch.direction * 3 + ch.speed]
 
 
 def tournament_select(
@@ -151,7 +122,7 @@ def feasible_moves(w: World, start: HexCoord) -> list[tuple[Direction, int]]:
     out = []
     for d in DIRECTIONS:
         for s in SPEEDS:
-            if s == 0 or feasible_steps(w, start, d, s) == s:
+            if s == 0 or walk(w, start, d, s)[1] == s:
                 out.append((d, s))
     return out
 
@@ -177,27 +148,12 @@ def decide_move_ga(
         d, s = pairs[rng.randrange(len(pairs))]
         return Move(d, s)
 
-    # Fitness depends on the chromosome only through (direction, speed):
-    # precompute all 18 values once, flat-indexed by direction * 3 + speed.
-    weight = params.alignment_weight
-    known = obs.best_known_target_distance
-    heads = obs.neighbor_headings
-    counts = [0] * 6
-    for d, _ in heads:
-        counts[d] += 1
-    table = []
-    for d in DIRECTIONS:
-        bonus = weight * counts[d] / len(heads) if heads else 0.0
-        for s in SPEEDS:
-            if known is None:
-                table.append(bonus)
-            else:
-                land = landing_cell(w, obs.situation, d, s)
-                table.append(known - hex_distance(land, w.target) + bonus)
+    # Fitness depends on the chromosome only through (direction, speed).
+    table = fitness_table(obs, w, params)
 
     # The loop below is the select -> crossover -> mutate cycle of the
     # public operators, inlined over flat (direction, speed) pairs; rng
-    # draw order matches calling them directly.
+    # draw order matches calling them directly, which the tests pin.
     r = rng.random
     size = params.population
     k = params.tournament_k
@@ -260,4 +216,4 @@ def decide_move_ga(
             best = i
     d, s = pop[best]
     direction = Direction(d)
-    return Move(direction, feasible_steps(w, obs.situation, direction, s))
+    return Move(direction, walk(w, obs.situation, direction, s)[1])

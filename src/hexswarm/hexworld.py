@@ -63,6 +63,17 @@ class Move:
     speed: int
 
 
+@dataclass
+class Observation:
+    """What a robot knows when it decides: its cell, comm degree, best known
+    target distance (own sensing or relayed), and neighbor headings."""
+
+    situation: HexCoord
+    degree: int
+    best_known_target_distance: Optional[int] = None
+    neighbor_headings: list[tuple[Direction, int]] = field(default_factory=list)
+
+
 def hex_distance(a: HexCoord, b: HexCoord) -> int:
     """Axial hex metric: (|dq| + |dr| + |dq+dr|) / 2."""
     dq = a.q - b.q
@@ -94,15 +105,21 @@ class World:
     def accessible(self, c: HexCoord) -> bool:
         return hex_distance(c, ORIGIN) <= self.radius - self.margin
 
-    def is_cell(self, c: HexCoord) -> bool:
-        return hex_distance(c, ORIGIN) <= self.radius
-
-    def occupant(self, c: HexCoord) -> Optional[int]:
-        return self.occupancy.get(c)
-
     def accessible_cell_count(self) -> int:
         k = self.radius - self.margin
         return 3 * k * (k + 1) + 1
+
+
+def walk(w: World, start: HexCoord, direction: Direction, speed: int) -> tuple[HexCoord, int]:
+    """Take unit steps until speed is spent or the next cell is inaccessible;
+    returns the landing cell and the number of steps taken."""
+    cell = start
+    for taken in range(speed):
+        nxt = step(cell, direction)
+        if not w.accessible(nxt):
+            return cell, taken
+        cell = nxt
+    return cell, speed
 
 
 def accessible_cells(w: World) -> Iterator[HexCoord]:

@@ -24,11 +24,12 @@ from hexswarm.engine import (
     run,
     tick,
 )
-from hexswarm.ga import GaParams, Observation, decide_move_ga
+from hexswarm.ga import GaParams, decide_move_ga
 from hexswarm.hexworld import (
     DIRECTION_OFFSETS,
     Direction,
     HexCoord,
+    Observation,
     accessible_cells,
     hex_distance,
     make_world,

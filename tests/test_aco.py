@@ -13,7 +13,7 @@ from hexswarm.aco import (
     decide_move_aco,
     transition_probs,
 )
-from hexswarm.ga import Observation
+from hexswarm.hexworld import Observation
 from hexswarm.hexworld import (
     DIRECTIONS,
     Direction,

@@ -15,7 +15,7 @@ from hexswarm.bco import (
     decide_move_bco,
     elect_leader,
 )
-from hexswarm.ga import Observation
+from hexswarm.hexworld import Observation
 from hexswarm.hexworld import Direction, HexCoord, make_world, step
 
 

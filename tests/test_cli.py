@@ -111,12 +111,12 @@ class TestExitStatuses:
         assert main(["--scenario", scenario, "--out", str(tmp_path / "s")]) == 0
 
     def test_timeout_exit_two(self, tmp_path):
-        scenario = write_scenario(tmp_path, SMALL + "max_ticks = 3\n")
+        scenario = write_scenario(tmp_path, SMALL.replace("max_ticks = 60", "max_ticks = 3"))
         assert main(["--scenario", scenario, "--out", str(tmp_path / "t")]) == 2
 
     def test_extinction_exit_three(self, tmp_path):
         # both robots die before anything can get near the target
         scenario = write_scenario(
-            tmp_path, SMALL + "robots = 2\nremovals = 1:0, 2:1\n"
+            tmp_path, SMALL.replace("robots = 4", "robots = 2") + "removals = 1:0, 2:1\n"
         )
         assert main(["--scenario", scenario, "--out", str(tmp_path / "x")]) == 3

@@ -71,6 +71,22 @@ class TestParseErrors:
         cfg = parse_config("removals = 100:3, 250:0\n")
         assert cfg.removals == [(100, 3), (250, 0)]
 
+    def test_duplicate_top_level_key_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"^line 3: duplicate key 'seed'$"):
+            parse_config("seed = 1\nrobots = 5\nseed = 2\n")
+
+    def test_duplicate_section_key_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"^line 4: duplicate key 'alpha' in \[aco\]$"):
+            parse_config("[aco]\nalpha = 1.0\nbeta = 2.0\nalpha = 2.0\n")
+
+    def test_repeated_section_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"^line 5: repeated section \[ga\]$"):
+            parse_config("[ga]\npopulation = 4\n[aco]\nalpha = 1.0\n[ga]\n")
+
+    def test_empty_repeated_section_is_rejected(self):
+        with pytest.raises(ConfigError, match=r"^line 2: repeated section \[bco\]$"):
+            parse_config("[bco]\n[bco]\n")
+
 
 class TestValidation:
     def test_zero_robots_names_the_field(self):
@@ -123,3 +139,17 @@ class TestOverrides:
         cfg = parse_config("")
         with pytest.raises(ConfigError, match="controller"):
             config_overrides(cfg, controller="nope")
+
+    def test_copies_share_no_params(self):
+        cfg = parse_config("removals = 5:0\n")
+        a = config_overrides(cfg, seed=1)
+        b = config_overrides(cfg, seed=2)
+        a.ga.population = 4
+        a.aco.alpha = 3.0
+        a.bco.scout_prob = 0.5
+        a.removals.append((6, 1))
+        for other in (cfg, b):
+            assert other.ga.population == 12
+            assert other.aco.alpha == 1.0
+            assert other.bco.scout_prob == 0.1
+            assert other.removals == [(5, 0)]

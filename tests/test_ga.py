@@ -8,16 +8,25 @@ import pytest
 from hexswarm.ga import (
     Chromosome,
     GaParams,
-    Observation,
     crossover,
     decide_move_ga,
     feasible_moves,
     fitness,
-    landing_cell,
     mutate,
     tournament_select,
 )
-from hexswarm.hexworld import Direction, HexCoord, World, hex_distance, make_world, step
+from hexswarm.hexworld import (
+    Direction,
+    HexCoord,
+    Move,
+    Observation,
+    World,
+    accessible_cells,
+    hex_distance,
+    make_world,
+    step,
+    walk,
+)
 
 
 def world_with_target(target=HexCoord(0, 0), radius=10, margin=0):
@@ -68,8 +77,8 @@ class TestFitness:
     def test_landing_truncates_at_inaccessible_cells(self):
         w = world_with_target(HexCoord(0, 0), radius=3, margin=0)
         edge = HexCoord(3, 0)
-        assert landing_cell(w, edge, Direction(0), 2) == edge
-        assert landing_cell(w, edge, Direction(3), 2) == HexCoord(1, 0)
+        assert walk(w, edge, Direction(0), 2) == (edge, 0)
+        assert walk(w, edge, Direction(3), 2) == (HexCoord(1, 0), 2)
 
 
 class TestTournamentSelect:
@@ -192,7 +201,7 @@ class TestDecideMoveGa:
         obs = Observation(situation=HexCoord(1, 0), degree=0, best_known_target_distance=1)
         for seed in range(200):
             mv = decide_move_ga(obs, w, GaParams(), random.Random(seed))
-            land = landing_cell(w, obs.situation, mv.direction, mv.speed)
+            land, _ = walk(w, obs.situation, mv.direction, mv.speed)
             assert 1 - hex_distance(land, w.target) >= 0
 
     def test_single_open_direction_yields_that_direction_or_stay(self):
@@ -245,3 +254,60 @@ class TestDecideMoveGa:
             for _ in range(mv.speed):
                 pos = step(pos, mv.direction)
                 assert w.accessible(pos)
+
+
+def evolve_with_operators(obs, w, params, rng, generation_log):
+    """decide_move_ga's evolution rebuilt from the public operators: a
+    population drawn as (int(r() * 6), int(r() * 3)), then per generation
+    elitism of one, two tournaments, crossover, and mutation of each child
+    that fits."""
+    r = rng.random
+    cache = {}
+
+    def fits_of(pop):
+        return [cache.setdefault(ch, fitness(ch, obs, w, params)) for ch in pop]
+
+    pop = [Chromosome(Direction(int(r() * 6)), int(r() * 3)) for _ in range(params.population)]
+    fits = fits_of(pop)
+    generation_log.append(max(fits))
+    for _ in range(params.generations):
+        new_pop = [pop[fits.index(max(fits))]]
+        while len(new_pop) < params.population:
+            a = tournament_select(pop, fits, rng, params.tournament_k)
+            b = tournament_select(pop, fits, rng, params.tournament_k)
+            c1, c2 = crossover(a, b, rng, params.crossover_prob)
+            new_pop.append(mutate(c1, rng, params.mutation_prob))
+            if len(new_pop) < params.population:
+                new_pop.append(mutate(c2, rng, params.mutation_prob))
+        pop = new_pop
+        fits = fits_of(pop)
+        generation_log.append(max(fits))
+    best = pop[fits.index(max(fits))]
+    return Move(best.direction, walk(w, obs.situation, best.direction, best.speed)[1])
+
+
+def test_inlined_loop_draws_like_the_public_operators():
+    w = world_with_target(HexCoord(2, -1), radius=6, margin=1)
+    cells = list(accessible_cells(w))
+    rng = random.Random(2011)
+    for trial in range(1000):
+        headings = [
+            (Direction(rng.randrange(6)), rng.randrange(1, 3)) for _ in range(rng.randrange(5))
+        ]
+        known = rng.choice((None, rng.randint(0, 12)))
+        if known is None and not headings:
+            known = rng.randint(0, 12)  # the bootstrap draws no evolution
+        obs = Observation(rng.choice(cells), len(headings), known, headings)
+        params = GaParams(
+            population=2 * rng.randint(1, 8),
+            generations=rng.randint(1, 6),
+            tournament_k=rng.randint(1, 4),
+            crossover_prob=rng.choice((0.0, 1.0, rng.random())),
+            mutation_prob=rng.choice((0.0, 1.0, rng.random())),
+            alignment_weight=rng.choice((0.0, 0.25, rng.uniform(0.0, 3.0))),
+        )
+        seed = rng.getrandbits(32)
+        got_log, want_log = [], []
+        got = decide_move_ga(obs, w, params, random.Random(seed), generation_log=got_log)
+        want = evolve_with_operators(obs, w, params, random.Random(seed), want_log)
+        assert (got, got_log) == (want, want_log), trial
