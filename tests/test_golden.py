@@ -72,6 +72,20 @@ GOLDEN = {
         "trace.csv": "5d0216d173eed5dbb4e32cf5c4ee1a1b76c5e5227aa55248035a0396974f5e90",
         "tracker.csv": "ff81f6b1eb2846fa0759898d74b487e5457919edc2820ea55f6c7991e71d7f08",
     }),
+    # The two dense cases below were recorded at commit
+    # 2fed478b3bbb8951eb402cec9ae30fbb1b8b514b, before flooding and neighbour
+    # discovery were rewritten. bco sends several messages per origin (dance
+    # advert plus target report); the ga batch reads only the tracker count.
+    ("perfbench/scenarios/dense.cfg", "--controller bco --seed 1 --ticks 100"): (2, {
+        "summary.json": "4de80e1b018ad6c305a00d5b7dab45d2c5c510f03a8c04af5de04ab3c2e8afc3",
+        "trace.csv": "7301b56fc4dcaf298d33b9e5aedecac31c532b5d7376ae1c1876fa01d436b8af",
+        "tracker.csv": "958c39dff7b5151d77846218b521394f7c1fa7782bd1a254b44d1c35acc7ba99",
+    }),
+    ("perfbench/scenarios/dense.cfg", "--controller ga --seed 1 --ticks 100 --batch 2"): (0, {
+        "summary.json": "663330e184903854187fe924635f647c1a0b5af9dd59ac4a19a94a02465af7ff",
+        "trace_1.csv": "35aaec9861988996b95283da9b9c83f8e767c93f742a281cbaddaa71de40fd81",
+        "trace_2.csv": "4abe08df5a2a9252894330d8575b54a1b87f1ff8ea9e74763d3b26ccf51e85bd",
+    }),
 }
 
 
