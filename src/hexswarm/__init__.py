@@ -26,6 +26,7 @@ from .comms import (
     connectivity_components,
     flood_round,
     flood_until_quiet,
+    neighbor_index,
 )
 from .config import ConfigError, ScenarioConfig, parse_config
 from .engine import (

@@ -52,7 +52,7 @@ def trace_csv(result: RunResult) -> str:
 
 
 def tracker_csv(result: RunResult) -> str:
-    return _csv_text(TRACKER_CSV_HEADER, result.state.tracker.entries)
+    return _csv_text(TRACKER_CSV_HEADER, result.state.tracker.rows())
 
 
 def field_csv(result: RunResult) -> str:

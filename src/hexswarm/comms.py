@@ -7,12 +7,22 @@ count h relays it to all comm neighbors, who receive it at hop count h + 1,
 while h < the message's ttl. Duplicates are dropped on (origin, seq), so a
 robot at hop distance h from the origin receives the message exactly once,
 at hop count h, iff h <= the ttl.
+
+``flood_round`` runs one round and is the reference. ``flood_until_quiet``
+reaches the state that running rounds until none delivers would, from one
+breadth-first search per sender: in round h a robot at hop distance h gets
+the message from its least-id neighbor at distance h - 1, so the deliveries
+of a round come in groups per (round, sender), applied in the rounds' order
+(round, sender, (origin, seq), relay). It and ``connectivity_components``
+read neighbors from ``neighbor_index``, a grid of comm_range-wide buckets
+where each robot scans only the 3 x 3 buckets around its own;
+``comm_neighbors`` is the per-robot all-pairs reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Optional
+from typing import Any, Iterator, NamedTuple, Optional, Sequence
 
 from .hexworld import Direction, HexCoord, hex_distance
 
@@ -68,17 +78,40 @@ class TrackEntry(NamedTuple):
 TRACKER_CSV_HEADER = ("tick", "msg_origin", "msg_seq", "relay", "hops")
 
 
-@dataclass
-class TrackerLog:
-    """Observation record of every delivery across the ad hoc network."""
+# (tick, (origin, seq), hops, relays): the relays that got one message at one
+# hop count from one sender, in delivery order.
+Chunk = tuple[int, tuple[int, int], int, Sequence[int]]
 
-    entries: list[TrackEntry] = field(default_factory=list)
+
+class TrackerLog:
+    """Observation record of every delivery across the ad hoc network, kept
+    as chunks; rows are built only when read."""
+
+    def __init__(self) -> None:
+        self.chunks: list[Chunk] = []
+        self.count = 0
+
+    def extend(self, chunks: list[Chunk], count: int) -> None:
+        """Append chunks holding count deliveries in all."""
+        self.chunks += chunks
+        self.count += count
 
     def record(self, tick: int, msg: Message, relay: int, hops: int) -> None:
-        self.entries.append(TrackEntry(tick, msg.origin, msg.seq, relay, hops))
+        self.chunks.append((tick, msg.msg_id, hops, (relay,)))
+        self.count += 1
+
+    def rows(self) -> Iterator[tuple[int, int, int, int, int]]:
+        """Every delivery in order, as plain (tick, origin, seq, relay, hops) rows."""
+        for tick, (origin, seq), hops, relays in self.chunks:
+            for relay in relays:
+                yield (tick, origin, seq, relay, hops)
+
+    @property
+    def entries(self) -> list[TrackEntry]:
+        return [TrackEntry._make(row) for row in self.rows()]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return self.count
 
 
 class Delivery(NamedTuple):
@@ -118,6 +151,40 @@ def comm_neighbors(
         for rid, pos in positions.items()
         if rid != self_id and hex_distance(own, pos) <= comm_range
     }
+
+
+def neighbor_index(
+    positions: dict[int, HexCoord], comm_range: int
+) -> dict[int, list[int]]:
+    """{rid: ascending ids of the other robots within comm_range} for every robot.
+
+    Robots are bucketed by (q // comm_range, r // comm_range). A robot within
+    comm_range differs by at most comm_range in q and in r, so it lies in one
+    of the 3 x 3 buckets around the own one.
+    """
+    size = max(comm_range, 1)
+    buckets: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for rid, (q, r) in positions.items():
+        buckets.setdefault((q // size, r // size), []).append((rid, q, r))
+    reach = 2 * comm_range  # |dq| + |dr| + |dq + dr| is twice the hex distance
+    index: dict[int, list[int]] = {rid: [] for rid in positions}
+    for (bq, br), members in buckets.items():
+        # Pair each robot with the rest of its bucket and with the four buckets
+        # ahead of it; the other four see this one as ahead of them.
+        ahead = [
+            robot
+            for key in ((bq + 1, br - 1), (bq + 1, br), (bq + 1, br + 1), (bq, br + 1))
+            for robot in buckets.get(key, ())
+        ]
+        for i, (rid, q, r) in enumerate(members):
+            for other, oq, or_ in members[i + 1 :] + ahead:
+                dq, dr = q - oq, r - or_
+                if abs(dq) + abs(dr) + abs(dq + dr) <= reach:
+                    index[rid].append(other)
+                    index[other].append(rid)
+    for neighbors in index.values():
+        neighbors.sort()
+    return index
 
 
 def flood_round(
@@ -166,6 +233,35 @@ def flood_round(
     return deliveries
 
 
+def _bfs_layers(
+    masks: dict[int, int], robots: list[int], source: int, depth: int, reached: int
+) -> list[list[tuple[int, tuple[int, ...]]]]:
+    """Breadth-first search from source to depth hops over neighbor bit masks
+    (bit i stands for robots[i]), never entering a robot whose bit is set in
+    reached. Layer h - 1 holds (sender, robots first reached at hop h) pairs,
+    senders ascending, so each robot hangs under its least-id neighbor one
+    hop nearer."""
+    layers = []
+    frontier = [source]
+    while frontier and len(layers) < depth:
+        layer = []
+        reached_now: list[int] = []
+        for sender in frontier:
+            fresh = masks[sender] & ~reached
+            if fresh:
+                reached |= fresh
+                relays = []
+                while fresh:
+                    low = fresh & -fresh
+                    relays.append(robots[low.bit_length() - 1])
+                    fresh ^= low
+                layer.append((sender, tuple(relays)))  # kept by the tracker: no spare slots
+                reached_now += relays
+        layers.append(layer)
+        frontier = sorted(reached_now)
+    return layers
+
+
 def flood_until_quiet(
     positions: dict[int, HexCoord],
     mailboxes: dict[int, Mailbox],
@@ -174,33 +270,96 @@ def flood_until_quiet(
     tick: int = 0,
     adjacency: Optional[dict[int, list[int]]] = None,
 ) -> int:
-    """Run flood rounds until no delivery occurs; returns total deliveries."""
+    """Run flood rounds until no delivery occurs; returns total deliveries.
+
+    Every queued message of one sender shares one breadth-first search. A
+    message whose id robots other than its sender have already seen gets its
+    own search that avoids them. The tracker, and each box's delivered and
+    seen, end up as the rounds of ``flood_round`` would leave them. A given
+    adjacency lists each robot's neighbors ascending, as ``neighbor_index``
+    does.
+    """
+    queued: dict[tuple[int, int], tuple[int, Delivery]] = {}  # id -> (sender, entry)
+    for rid, box in mailboxes.items():
+        for entry in box.outbound:
+            msg_id = entry.message.msg_id
+            if msg_id in queued:
+                # One id queued twice: only the rounds themselves say which
+                # copy gets where.
+                total = 0
+                while made := flood_round(
+                    positions, mailboxes, comm_range, tracker, tick, adjacency
+                ):
+                    total += made
+                return total
+            queued[msg_id] = (rid, entry)
+    if not queued:
+        return 0
+    for box in mailboxes.values():
+        box.outbound = []
+    if adjacency is None:
+        adjacency = neighbor_index(
+            {rid: pos for rid, pos in positions.items() if rid in mailboxes}, comm_range
+        )
+    robots = sorted(adjacency)  # bit i of a mask stands for robots[i]
+    bit = {rid: 1 << i for i, rid in enumerate(robots)}
+    masks = {rid: sum([bit[nb] for nb in neighbors]) for rid, neighbors in adjacency.items()}
+
+    # The robots other than its sender that have already seen a queued id.
+    seen_elsewhere: dict[tuple[int, int], int] = {}
+    for rid, box in mailboxes.items():
+        for msg_id in box.seen:
+            if msg_id in queued and queued[msg_id][0] != rid:
+                seen_elsewhere[msg_id] = seen_elsewhere.get(msg_id, 0) | bit.get(rid, 0)
+
+    # One search per sender for its fresh messages, one per re-sent message.
+    searches: dict[tuple[int, Optional[tuple[int, int]]], list] = {}
+    for msg_id, (rid, entry) in queued.items():
+        resent = msg_id if msg_id in seen_elsewhere else None
+        searches.setdefault((rid, resent), []).append((msg_id, entry))
+
+    groups = []  # (round, sender, msg_id, delivery, relays)
+    for (source, resent), entries in searches.items():
+        reach = [msg.ttl - hops for _, (msg, hops) in entries]  # rounds it travels
+        reached = bit[source] | seen_elsewhere.get(resent, 0)
+        layers = _bfs_layers(masks, robots, source, max(reach), reached)
+        for (msg_id, (msg, hops)), rounds in zip(entries, reach):
+            for rnd, layer in enumerate(layers[:rounds], 1):
+                delivery = Delivery(msg, hops + rnd)  # shared by the whole round
+                for sender, relays in layer:
+                    groups.append((rnd, sender, msg_id, delivery, relays))
+    groups.sort()  # (round, sender, msg_id) is unique: an id is queued once
+
+    deliver = {rid: box.delivered.append for rid, box in mailboxes.items()}
+    mark_seen = {rid: box.seen.add for rid, box in mailboxes.items()}
+    chunks = []
     total = 0
-    while True:
-        made = flood_round(positions, mailboxes, comm_range, tracker, tick, adjacency)
-        if made == 0:
-            return total
-        total += made
+    for _, _, msg_id, delivery, relays in groups:
+        for relay in relays:
+            deliver[relay](delivery)
+            mark_seen[relay](msg_id)
+        chunks.append((tick, msg_id, delivery.hops, relays))
+        total += len(relays)
+    tracker.extend(chunks, total)
+    return total
 
 
 def connectivity_components(
     positions: dict[int, HexCoord], comm_range: int
 ) -> list[list[int]]:
     """Connected components of the comm graph, each sorted, ordered by least id."""
-    remaining = set(positions)
+    adjacency = neighbor_index(positions, comm_range)
+    assigned: set[int] = set()
     components = []
-    while remaining:
-        root = min(remaining)
-        seen = {root}
-        frontier = [root]
-        while frontier:
-            nxt = []
-            for rid in frontier:
-                for nb in comm_neighbors(positions, rid, comm_range):
-                    if nb not in seen:
-                        seen.add(nb)
-                        nxt.append(nb)
-            frontier = nxt
-        components.append(sorted(seen))
-        remaining -= seen
+    for root in sorted(positions):
+        if root in assigned:
+            continue
+        assigned.add(root)
+        component = [root]
+        for rid in component:  # grows while it is walked: a breadth-first search
+            for nb in adjacency[rid]:
+                if nb not in assigned:
+                    assigned.add(nb)
+                    component.append(nb)
+        components.append(sorted(component))
     return components

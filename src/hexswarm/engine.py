@@ -31,9 +31,10 @@ from .comms import (
     PositionReport,
     TargetReport,
     TrackerLog,
-    comm_neighbors,
+    comm_neighbors,  # not called here; tracing hooks patch it under this name
     connectivity_components,
     flood_until_quiet,
+    neighbor_index,
     new_mailboxes,
     send,
 )
@@ -311,9 +312,7 @@ def tick(state: SimState) -> None:
 
     emissions = _emit_reports(state)
     positions = state.positions()
-    adjacency = {
-        rid: sorted(comm_neighbors(positions, rid, cfg.comm_range)) for rid in positions
-    }
+    adjacency = neighbor_index(positions, cfg.comm_range)
     mailboxes = new_mailboxes(positions)
     for rid in sorted(emissions):
         for msg in emissions[rid][2]:

@@ -44,8 +44,6 @@ DIRECTION_OFFSETS: tuple[tuple[int, int], ...] = (
 
 DIRECTIONS: tuple[Direction, ...] = tuple(Direction)
 
-ORIGIN = HexCoord(0, 0)
-
 
 class WorldConfigError(ValueError):
     """Raised when world parameters are inconsistent; names the offending field."""
@@ -103,7 +101,8 @@ class World:
     occupancy: dict[HexCoord, int] = field(default_factory=dict)
 
     def accessible(self, c: HexCoord) -> bool:
-        return hex_distance(c, ORIGIN) <= self.radius - self.margin
+        q, r = c  # max(|q|, |r|, |q + r|) is the hex distance from the origin
+        return max(abs(q), abs(r), abs(q + r)) <= self.radius - self.margin
 
     def accessible_cell_count(self) -> int:
         k = self.radius - self.margin

@@ -1,10 +1,15 @@
 """Comms tests: neighbor discovery, TTL flooding against a BFS hop-count
-oracle, duplicate suppression, and connectivity components."""
+oracle, duplicate suppression, and connectivity components. The neighbor
+index and flooding to quiescence are held to their references,
+``comm_neighbors`` and rounds of ``flood_round``."""
 
 import random
+import time
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexswarm.comms import (
     POSITION_REPORT,
@@ -14,10 +19,13 @@ from hexswarm.comms import (
     connectivity_components,
     flood_round,
     flood_until_quiet,
+    neighbor_index,
     new_mailboxes,
     send,
 )
-from hexswarm.hexworld import HexCoord, hex_distance
+from hexswarm.hexworld import HexCoord, accessible_cells, hex_distance, make_world
+
+PROPERTY = settings(max_examples=300, deadline=None, database=None)
 
 
 def msg(origin=0, seq=0, ttl=5, payload=None):
@@ -65,6 +73,72 @@ class TestCommNeighbors:
     def test_unknown_robot_id_raises(self):
         with pytest.raises(KeyError):
             comm_neighbors({0: HexCoord(0, 0)}, 99, 2)
+
+
+def union_find_components(positions, comm_range):
+    """Components from every pair of robots, each sorted, ordered by least id."""
+    parent = {rid: rid for rid in positions}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    ids = sorted(positions)
+    for i, a in enumerate(ids):
+        for b in ids[i + 1 :]:
+            if hex_distance(positions[a], positions[b]) <= comm_range:
+                parent[find(a)] = find(b)
+    groups = {}
+    for rid in ids:
+        groups.setdefault(find(rid), []).append(rid)
+    return sorted(groups.values())
+
+
+# Robot ids are sparse and cells may repeat; coordinates run negative, so
+# bucket edges fall under floor division on both sides of zero.
+robot_cells = st.dictionaries(
+    st.integers(0, 60),
+    st.builds(HexCoord, st.integers(-12, 12), st.integers(-12, 12)),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestNeighborIndex:
+    @PROPERTY
+    @given(robot_cells, st.integers(1, 50))  # the widest board spans 48 cells
+    def test_matches_all_pairs_reference(self, positions, comm_range):
+        expected = {rid: sorted(comm_neighbors(positions, rid, comm_range)) for rid in positions}
+        assert neighbor_index(positions, comm_range) == expected
+
+    @PROPERTY
+    @given(robot_cells, st.integers(1, 50))
+    def test_components_match_all_pairs_reference(self, positions, comm_range):
+        expected = union_find_components(positions, comm_range)
+        assert connectivity_components(positions, comm_range) == expected
+
+    def test_wide_range_is_no_slower_than_all_pairs(self):
+        """With every robot in range the grid degenerates to a few buckets;
+        it must still cost no more than scanning all pairs."""
+        world = make_world(30, 1, HexCoord(20, 0), HexCoord(-20, 0))
+        cells = random.Random(3).sample(list(accessible_cells(world)), 200)
+        positions = dict(enumerate(cells))
+
+        def all_pairs():
+            return {rid: sorted(comm_neighbors(positions, rid, 60)) for rid in positions}
+
+        def best_of(fn, repeats=5):
+            times = []
+            for _ in range(repeats):
+                t0 = time.perf_counter()
+                fn()
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        assert neighbor_index(positions, 60) == all_pairs()
+        assert best_of(lambda: neighbor_index(positions, 60)) <= best_of(all_pairs)
 
 
 class TestFloodRound:
@@ -174,23 +248,7 @@ class TestConnectivityComponents:
         rng = random.Random(31)
         for _ in range(100):
             positions = random_positions(rng, 10)
-            parent = list(range(10))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for a in range(10):
-                for b in range(a + 1, 10):
-                    if hex_distance(positions[a], positions[b]) <= 2:
-                        parent[find(a)] = find(b)
-            groups = {}
-            for rid in range(10):
-                groups.setdefault(find(rid), []).append(rid)
-            expected = sorted(sorted(g) for g in groups.values())
-            assert connectivity_components(positions, 2) == expected
+            assert connectivity_components(positions, 2) == union_find_components(positions, 2)
 
     def test_partition_covers_all_robots_disjointly(self):
         rng = random.Random(37)
@@ -200,3 +258,63 @@ class TestConnectivityComponents:
             flat = [rid for comp in comps for rid in comp]
             assert sorted(flat) == sorted(positions)
             assert len(flat) == len(set(flat))
+
+
+def flood_by_rounds(positions, boxes, comm_range, tracker, tick):
+    """The reference: flood_round with its own neighbor scan, until quiet."""
+    total = 0
+    while made := flood_round(positions, boxes, comm_range, tracker, tick):
+        total += made
+    return total
+
+
+@st.composite
+def flood_cases(draw):
+    """Robots packed densely enough for many ties between relays, a first
+    batch of 1-4 origins with 1-3 messages each, and a second batch that may
+    re-send ids the first one flooded, from the origin or another robot,
+    possibly twice."""
+    cells = st.builds(HexCoord, st.integers(-4, 4), st.integers(-4, 4))
+    positions = draw(st.dictionaries(st.integers(0, 60), cells, min_size=2, max_size=16))
+    ids = sorted(positions)
+    comm_range = draw(st.integers(1, 3))
+    first = []
+    for origin in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True)):
+        for seq in range(draw(st.integers(1, 3))):
+            ttl = draw(st.integers(0, 5))
+            first.append((origin, Message(origin, seq, POSITION_REPORT, None, ttl)))
+    again = []
+    for _ in range(draw(st.integers(0, 2))):
+        _, old = draw(st.sampled_from(first))
+        sender = draw(st.sampled_from([old.origin, *ids]))
+        again.append((sender, old._replace(ttl=draw(st.integers(0, 5)))))
+    return positions, comm_range, [first, again], draw(st.booleans())
+
+
+class TestFloodUntilQuiet:
+    @PROPERTY
+    @given(flood_cases())
+    def test_matches_rounds_driven_to_quiescence(self, case):
+        positions, comm_range, batches, pass_index = case
+
+        def outcome(flood):
+            boxes = new_mailboxes(positions)
+            tracker = TrackerLog()
+            made = []
+            for batch in batches:
+                for sender, message in batch:
+                    send(boxes, sender, message)
+                made.append(flood(boxes, tracker))
+            state = {rid: (box.delivered, box.seen, box.outbound) for rid, box in boxes.items()}
+            return made, tracker.entries, len(tracker), state
+
+        adjacency = neighbor_index(positions, comm_range) if pass_index else None
+        got = outcome(
+            lambda boxes, tracker: flood_until_quiet(
+                positions, boxes, comm_range, tracker, 4, adjacency
+            )
+        )
+        expected = outcome(
+            lambda boxes, tracker: flood_by_rounds(positions, boxes, comm_range, tracker, 4)
+        )
+        assert got == expected
