@@ -110,8 +110,14 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = config_overrides(
             cfg, seed=args.seed, controller=args.controller, max_ticks=args.ticks
         )
-        if args.batch is not None and args.batch < 1:
-            raise ConfigError("batch: must be >= 1")
+        if args.batch is not None:
+            if args.batch < 1:
+                raise ConfigError("batch: must be >= 1")
+            last_seed = cfg.seed + args.batch - 1
+            if last_seed >= 2**64:
+                raise ConfigError(
+                    f"batch: last seed {last_seed} does not fit in an unsigned 64-bit integer"
+                )
     except ConfigError as exc:
         print(f"hexswarm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from math import floor
 from typing import NamedTuple, Optional
 
 from .hexworld import (
+    DIRECTION_OFFSETS,
     DIRECTIONS,
     Direction,
     HexCoord,
@@ -118,13 +120,24 @@ def mutate(ch: Chromosome, rng: random.Random, mutation_prob: float = 0.1) -> Ch
 
 def feasible_moves(w: World, start: HexCoord) -> list[tuple[Direction, int]]:
     """(direction, speed) pairs whose full path stays accessible; speed-0
-    pairs are always included."""
+    pairs are always included. Each direction is walked out one cell at a
+    time and stops at its first inaccessible cell."""
+    accessible = w.accessible
+    q, r = start
     out = []
-    for d in DIRECTIONS:
-        for s in SPEEDS:
-            if s == 0 or walk(w, start, d, s)[1] == s:
-                out.append((d, s))
+    for d, (dq, dr) in zip(DIRECTIONS, DIRECTION_OFFSETS):
+        out.append((d, 0))
+        if accessible(HexCoord(q + dq, r + dr)):
+            out.append((d, 1))
+            if accessible(HexCoord(q + 2 * dq, r + 2 * dr)):
+                out.append((d, 2))
     return out
+
+
+# The direction part (direction * 3) and the speed part of each gene
+# g = direction * 3 + speed.
+_DIRECTION_PART = [g - g % 3 for g in range(18)]
+_SPEED_PART = [g % 3 for g in range(18)]
 
 
 def decide_move_ga(
@@ -139,8 +152,9 @@ def decide_move_ga(
     With no target knowledge and no neighbor headings there is nothing for
     fitness to grade, so the move is a uniform random feasible pair (the
     randomized bootstrap). Otherwise runs generations of tournament
-    selection, uniform crossover, and per-gene mutation with elitism of one,
-    and returns the fittest chromosome, speed truncated to its feasible
+    selection, uniform crossover, and per-gene mutation with elitism of one
+    over genes g = direction * 3 + speed, the indices of fitness_table, and
+    returns the fittest gene as a move, speed truncated to its feasible
     prefix.
     """
     if obs.best_known_target_distance is None and not obs.neighbor_headings:
@@ -152,68 +166,71 @@ def decide_move_ga(
     table = fitness_table(obs, w, params)
 
     # The loop below is the select -> crossover -> mutate cycle of the
-    # public operators, inlined over flat (direction, speed) pairs; rng
-    # draw order matches calling them directly, which the tests pin.
+    # public operators, inlined over genes g = direction * 3 + speed, so a
+    # gene's fitness is table[g]. Crossover and mutation swap or redraw the
+    # direction part and the speed part of a gene. The rng draw order
+    # matches calling the operators directly, which the tests pin. floor
+    # equals the operators' int on these non-negative draws and is the
+    # cheaper call in CPython.
     r = rng.random
     size = params.population
-    k = params.tournament_k
+    last = size - 1
+    extra_draws = range(params.tournament_k - 1)
     cx_prob = params.crossover_prob
     mut_prob = params.mutation_prob
-    pop = [(int(r() * 6), int(r() * 3)) for _ in range(size)]
-    fits = [table[d * 3 + s] for d, s in pop]
+    dpart = _DIRECTION_PART
+    spart = _SPEED_PART
+    pop = [floor(r() * 6) * 3 + floor(r() * 3) for _ in range(size)]
+    fits = list(map(table.__getitem__, pop))
+    top = max(fits)
     if generation_log is not None:
-        generation_log.append(max(fits))
+        generation_log.append(top)
 
     for _ in range(params.generations):
-        elite = 0
-        for i in range(1, size):
-            if fits[i] > fits[elite]:
-                elite = i
-        new_pop = [pop[elite]]
-        while len(new_pop) < size:
-            best = int(r() * size)
-            for _ in range(k - 1):
-                i = int(r() * size)
-                if fits[i] > fits[best] or (fits[i] == fits[best] and i < best):
-                    best = i
-            pa = pop[best]
-            best = int(r() * size)
-            for _ in range(k - 1):
-                i = int(r() * size)
-                if fits[i] > fits[best] or (fits[i] == fits[best] and i < best):
-                    best = i
-            pb = pop[best]
+        new_pop = [pop[fits.index(top)]]
+        append = new_pop.append
+        for j in range(1, size, 2):
+            best = floor(r() * size)
+            fb = fits[best]
+            for _ in extra_draws:
+                i = floor(r() * size)
+                fi = fits[i]
+                if fi > fb or (fi == fb and i < best):
+                    best, fb = i, fi
+            a = pop[best]
+            best = floor(r() * size)
+            fb = fits[best]
+            for _ in extra_draws:
+                i = floor(r() * size)
+                fi = fits[i]
+                if fi > fb or (fi == fb and i < best):
+                    best, fb = i, fi
+            b = pop[best]
             if r() < cx_prob:
-                if r() < 0.5:
-                    d1, d2 = pa[0], pb[0]
-                else:
-                    d1, d2 = pb[0], pa[0]
-                if r() < 0.5:
-                    s1, s2 = pa[1], pb[1]
-                else:
-                    s1, s2 = pb[1], pa[1]
-            else:
-                (d1, s1), (d2, s2) = pa, pb
+                if r() < 0.5:  # the first child takes a's direction ...
+                    if r() >= 0.5:  # ... and b's speed
+                        a, b = dpart[a] + spart[b], dpart[b] + spart[a]
+                elif r() < 0.5:  # b's direction and a's speed
+                    a, b = dpart[b] + spart[a], dpart[a] + spart[b]
+                else:  # b's direction and b's speed
+                    a, b = b, a
             if r() < mut_prob:
-                d1 = int(r() * 6)
+                a = floor(r() * 6) * 3 + spart[a]
             if r() < mut_prob:
-                s1 = int(r() * 3)
-            new_pop.append((d1, s1))
-            if len(new_pop) < size:
+                a = dpart[a] + floor(r() * 3)
+            append(a)
+            if j < last:
                 if r() < mut_prob:
-                    d2 = int(r() * 6)
+                    b = floor(r() * 6) * 3 + spart[b]
                 if r() < mut_prob:
-                    s2 = int(r() * 3)
-                new_pop.append((d2, s2))
+                    b = dpart[b] + floor(r() * 3)
+                append(b)
         pop = new_pop
-        fits = [table[d * 3 + s] for d, s in pop]
+        fits = list(map(table.__getitem__, pop))
+        top = max(fits)
         if generation_log is not None:
-            generation_log.append(max(fits))
+            generation_log.append(top)
 
-    best = 0
-    for i in range(1, size):
-        if fits[i] > fits[best]:
-            best = i
-    d, s = pop[best]
+    d, s = divmod(pop[fits.index(top)], 3)
     direction = Direction(d)
     return Move(direction, walk(w, obs.situation, direction, s)[1])

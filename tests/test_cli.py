@@ -91,6 +91,17 @@ class TestBatch:
         for seed in range(5, 11):
             assert (out / f"trace_{seed}.csv").is_file()
 
+    def test_seed_range_past_64_bits_fails_before_any_run(self, tmp_path, capsys):
+        scenario = write_scenario(tmp_path, SMALL)
+        out = tmp_path / "overflow"
+        out.mkdir()
+        argv = ["--scenario", scenario, "--seed", str(2**64 - 1), "--batch", "2"]
+        code = main([*argv, "--ticks", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("hexswarm: error: batch: ")
+        assert list(out.iterdir()) == []
+
 
 class TestExitStatuses:
     def test_missing_scenario_file_is_usage_error(self, tmp_path, capsys):

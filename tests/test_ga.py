@@ -6,6 +6,7 @@ import random
 import pytest
 
 from hexswarm.ga import (
+    SPEEDS,
     Chromosome,
     GaParams,
     crossover,
@@ -16,6 +17,7 @@ from hexswarm.ga import (
     tournament_select,
 )
 from hexswarm.hexworld import (
+    DIRECTIONS,
     Direction,
     HexCoord,
     Move,
@@ -180,6 +182,32 @@ class TestMutate:
             assert ch.speed in (0, 1, 2)
 
 
+def feasible_by_walk(w, c):
+    return [(d, s) for d in DIRECTIONS for s in SPEEDS if s == 0 or walk(w, c, d, s)[1] == s]
+
+
+class TestFeasibleMoves:
+    @pytest.mark.parametrize(
+        "radius,margin", [(r, m) for r in range(1, 7) for m in range(3) if m < r]
+    )
+    def test_matches_walk_on_every_cell_of_a_board(self, radius, margin):
+        w = World(radius=radius, margin=margin, target=HexCoord(0, 0), entry=HexCoord(0, 0))
+        for c in accessible_cells(w):
+            assert feasible_moves(w, c) == feasible_by_walk(w, c), c
+
+    def test_matches_walk_in_a_world_with_holes(self):
+        # Random 60% subsets of a radius-6 board: not convex, and many
+        # cells two steps out are accessible while the cell between is not.
+        rng = random.Random(5)
+        full = list(accessible_cells(world_with_target(radius=6)))
+        for _ in range(50):
+            cells = {c for c in full if rng.random() < 0.6}
+            cells.discard(HexCoord(0, 0))
+            w = PocketWorld(cells, target=HexCoord(0, 0))
+            for c in cells:
+                assert feasible_moves(w, c) == feasible_by_walk(w, c), c
+
+
 class TestDecideMoveGa:
     def test_bootstrap_is_uniform_over_feasible_pairs(self):
         w = world_with_target(HexCoord(0, 0))
@@ -299,7 +327,7 @@ def test_inlined_loop_draws_like_the_public_operators():
             known = rng.randint(0, 12)  # the bootstrap draws no evolution
         obs = Observation(rng.choice(cells), len(headings), known, headings)
         params = GaParams(
-            population=2 * rng.randint(1, 8),
+            population=rng.randint(2, 16),  # odd sizes keep both children of the last pair
             generations=rng.randint(1, 6),
             tournament_k=rng.randint(1, 4),
             crossover_prob=rng.choice((0.0, 1.0, rng.random())),

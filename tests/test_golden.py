@@ -86,6 +86,14 @@ GOLDEN = {
         "trace_1.csv": "35aaec9861988996b95283da9b9c83f8e767c93f742a281cbaddaa71de40fd81",
         "trace_2.csv": "4abe08df5a2a9252894330d8575b54a1b87f1ff8ea9e74763d3b26ccf51e85bd",
     }),
+    # Recorded at commit 479887270b88fc15d314dcc4d620a10e9178c398, before the
+    # GA population became flat gene indices: all 250 ticks, so the full
+    # swarm of 200 runs the GA for the last 50.
+    ("perfbench/scenarios/dense.cfg", "--controller ga --seed 3"): (2, {
+        "summary.json": "5e8b6154d54d3396b7258611df6d0d2b09f34ddec317b41206e5e156c750b3a8",
+        "trace.csv": "6f19f1cccc11e598510f65731385c64ef0e79e4e711c9a23a27e375e6cf1ecb4",
+        "tracker.csv": "cedb85e530649abf2041effe3a3501e593fe27f265d8c88c491e64ed19aa0fbc",
+    }),
 }
 
 
