@@ -8,21 +8,23 @@ while h < the message's ttl. Duplicates are dropped on (origin, seq), so a
 robot at hop distance h from the origin receives the message exactly once,
 at hop count h, iff h <= the ttl.
 
-``flood_round`` runs one round and is the reference. ``flood_until_quiet``
-reaches the state that running rounds until none delivers would, from one
-breadth-first search per sender: in round h a robot at hop distance h gets
-the message from its least-id neighbor at distance h - 1, so the deliveries
-of a round come in groups per (round, sender), applied in the rounds' order
-(round, sender, (origin, seq), relay). It and ``connectivity_components``
-read neighbors from ``neighbor_index``, a grid of comm_range-wide buckets
-where each robot scans only the 3 x 3 buckets around its own;
-``comm_neighbors`` is the per-robot all-pairs reference.
+``flood_round`` runs one round over mailboxes, re-sends included, and is
+the reference. ``flood_until_quiet`` floods the messages each origin has
+just sent straight into the inboxes of the robots they reach, as rounds run
+until none delivers would, from one breadth-first search per origin: in
+round h a robot at hop distance h gets the message from its least-id
+neighbor at distance h - 1, so the deliveries of a round come in groups per
+(round, sender), applied in the rounds' order (round, sender, (origin, seq),
+relay). It and ``connectivity_components`` read neighbors from
+``neighbor_index``, a grid of comm_range-wide buckets where each robot scans
+only the 3 x 3 buckets around its own; ``comm_neighbors`` is the per-robot
+all-pairs reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, NamedTuple, Optional, Sequence
+from typing import Any, Iterator, NamedTuple, Sequence
 
 from .hexworld import Direction, HexCoord, hex_distance
 
@@ -193,13 +195,12 @@ def flood_round(
     comm_range: int,
     tracker: TrackerLog,
     tick: int = 0,
-    adjacency: Optional[dict[int, list[int]]] = None,
 ) -> int:
     """One synchronous relay round; returns the number of deliveries made.
 
     Iteration order is fixed (robot ids ascending, messages by (origin, seq))
-    so the round is deterministic. Pass a precomputed adjacency map to skip
-    re-deriving neighbor sets when positions have not changed.
+    so the round is deterministic. Neighbors come from ``comm_neighbors``,
+    restricted to robots that have a mailbox.
     """
     next_outbound: dict[int, list[Delivery]] = {rid: [] for rid in mailboxes}
     deliveries = 0
@@ -207,12 +208,9 @@ def flood_round(
         queue = sorted(mailboxes[rid].outbound, key=lambda d: d.message.msg_id)
         if not queue:
             continue
-        if adjacency is not None:
-            neighbors = adjacency[rid]
-        else:
-            neighbors = sorted(
-                n for n in comm_neighbors(positions, rid, comm_range) if n in mailboxes
-            )
+        neighbors = sorted(
+            n for n in comm_neighbors(positions, rid, comm_range) if n in mailboxes
+        )
         for msg, hops in queue:
             msg_id = msg.msg_id
             hops += 1
@@ -234,14 +232,15 @@ def flood_round(
 
 
 def _bfs_layers(
-    masks: dict[int, int], robots: list[int], source: int, depth: int, reached: int
+    masks: dict[int, int], robots: list[int], source: int, source_bit: int, depth: int
 ) -> list[list[tuple[int, tuple[int, ...]]]]:
     """Breadth-first search from source to depth hops over neighbor bit masks
-    (bit i stands for robots[i]), never entering a robot whose bit is set in
-    reached. Layer h - 1 holds (sender, robots first reached at hop h) pairs,
-    senders ascending, so each robot hangs under its least-id neighbor one
-    hop nearer."""
+    (bit i stands for robots[i], robots ascending; source_bit is the source's
+    own bit). Layer h - 1 holds
+    (sender, robots first reached at hop h) pairs, senders ascending, so each
+    robot hangs under its least-id neighbor one hop nearer."""
     layers = []
+    reached = source_bit
     frontier = [source]
     while frontier and len(layers) < depth:
         layer = []
@@ -263,82 +262,39 @@ def _bfs_layers(
 
 
 def flood_until_quiet(
-    positions: dict[int, HexCoord],
-    mailboxes: dict[int, Mailbox],
-    comm_range: int,
+    adjacency: dict[int, list[int]],
+    outbox: dict[int, list[Message]],
+    inbox: dict[int, list[Message]],
     tracker: TrackerLog,
     tick: int = 0,
-    adjacency: Optional[dict[int, list[int]]] = None,
 ) -> int:
-    """Run flood rounds until no delivery occurs; returns total deliveries.
+    """Flood each origin's freshly sent messages until no round delivers;
+    returns the number of deliveries.
 
-    Every queued message of one sender shares one breadth-first search. A
-    message whose id robots other than its sender have already seen gets its
-    own search that avoids them. The tracker, and each box's delivered and
-    seen, end up as the rounds of ``flood_round`` would leave them. A given
-    adjacency lists each robot's neighbors ascending, as ``neighbor_index``
-    does.
+    adjacency lists neighbors ascending, as ``neighbor_index`` does; outbox
+    maps an origin to its new messages, seqs distinct. Each message goes into
+    the inbox list of every robot it reaches, and its rows into the tracker,
+    in the order the rounds of ``flood_round`` would deliver them.
     """
-    queued: dict[tuple[int, int], tuple[int, Delivery]] = {}  # id -> (sender, entry)
-    for rid, box in mailboxes.items():
-        for entry in box.outbound:
-            msg_id = entry.message.msg_id
-            if msg_id in queued:
-                # One id queued twice: only the rounds themselves say which
-                # copy gets where.
-                total = 0
-                while made := flood_round(
-                    positions, mailboxes, comm_range, tracker, tick, adjacency
-                ):
-                    total += made
-                return total
-            queued[msg_id] = (rid, entry)
-    if not queued:
-        return 0
-    for box in mailboxes.values():
-        box.outbound = []
-    if adjacency is None:
-        adjacency = neighbor_index(
-            {rid: pos for rid, pos in positions.items() if rid in mailboxes}, comm_range
-        )
     robots = sorted(adjacency)  # bit i of a mask stands for robots[i]
     bit = {rid: 1 << i for i, rid in enumerate(robots)}
     masks = {rid: sum([bit[nb] for nb in neighbors]) for rid, neighbors in adjacency.items()}
-
-    # The robots other than its sender that have already seen a queued id.
-    seen_elsewhere: dict[tuple[int, int], int] = {}
-    for rid, box in mailboxes.items():
-        for msg_id in box.seen:
-            if msg_id in queued and queued[msg_id][0] != rid:
-                seen_elsewhere[msg_id] = seen_elsewhere.get(msg_id, 0) | bit.get(rid, 0)
-
-    # One search per sender for its fresh messages, one per re-sent message.
-    searches: dict[tuple[int, Optional[tuple[int, int]]], list] = {}
-    for msg_id, (rid, entry) in queued.items():
-        resent = msg_id if msg_id in seen_elsewhere else None
-        searches.setdefault((rid, resent), []).append((msg_id, entry))
-
-    groups = []  # (round, sender, msg_id, delivery, relays)
-    for (source, resent), entries in searches.items():
-        reach = [msg.ttl - hops for _, (msg, hops) in entries]  # rounds it travels
-        reached = bit[source] | seen_elsewhere.get(resent, 0)
-        layers = _bfs_layers(masks, robots, source, max(reach), reached)
-        for (msg_id, (msg, hops)), rounds in zip(entries, reach):
-            for rnd, layer in enumerate(layers[:rounds], 1):
-                delivery = Delivery(msg, hops + rnd)  # shared by the whole round
+    groups = []  # (round, sender, msg_id, message, relays)
+    for origin, messages in outbox.items():
+        layers = _bfs_layers(masks, robots, origin, bit[origin], max(msg.ttl for msg in messages))
+        for msg in messages:
+            msg_id = msg.msg_id  # one tuple shared by all of the message's chunks
+            for rnd, layer in enumerate(layers[: msg.ttl], 1):
                 for sender, relays in layer:
-                    groups.append((rnd, sender, msg_id, delivery, relays))
-    groups.sort()  # (round, sender, msg_id) is unique: an id is queued once
+                    groups.append((rnd, sender, msg_id, msg, relays))
+    groups.sort()  # (round, sender, msg_id) is unique: seqs differ per origin
 
-    deliver = {rid: box.delivered.append for rid, box in mailboxes.items()}
-    mark_seen = {rid: box.seen.add for rid, box in mailboxes.items()}
     chunks = []
     total = 0
-    for _, _, msg_id, delivery, relays in groups:
+    for rnd, _, msg_id, msg, relays in groups:
         for relay in relays:
-            deliver[relay](delivery)
-            mark_seen[relay](msg_id)
-        chunks.append((tick, msg_id, delivery.hops, relays))
+            inbox[relay].append(msg)
+        chunks.append((tick, msg_id, rnd, relays))
         total += len(relays)
     tracker.extend(chunks, total)
     return total

@@ -8,6 +8,7 @@ start with '#'.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, get_type_hints
 
@@ -61,10 +62,17 @@ def _parse_removals(value: str) -> list[tuple[int, int]]:
     return out
 
 
+def _parse_finite(value: str) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"must be a finite number, got {value!r}")
+    return number
+
+
 # Value parser per declared field type; every config key is a dataclass field.
 _PARSE_BY_TYPE = {
     int: int,
-    float: float,
+    float: _parse_finite,
     str: str,
     HexCoord: _parse_coord,
     list[tuple[int, int]]: _parse_removals,

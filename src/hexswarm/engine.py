@@ -26,7 +26,6 @@ from .comms import (
     POSITION_REPORT,
     TARGET_REPORT,
     DanceAdvert,
-    Mailbox,
     Message,
     PositionReport,
     TargetReport,
@@ -35,8 +34,8 @@ from .comms import (
     connectivity_components,
     flood_until_quiet,
     neighbor_index,
-    new_mailboxes,
-    send,
+    new_mailboxes,  # not called here; tracing hooks patch it under this name
+    send,  # not called here; tracing hooks patch it under this name
 )
 from .config import ScenarioConfig
 from .ga import decide_move_ga
@@ -243,10 +242,10 @@ def _emit_reports(state: SimState) -> dict[int, tuple[HexCoord, Optional[int], l
 
 def _assemble_observations(
     state: SimState,
-    mailboxes: dict[int, Mailbox],
+    inbox: dict[int, list[Message]],
     adjacency: dict[int, list[int]],
 ) -> tuple[dict[int, Observation], dict[int, DanceBoard]]:
-    """Build per-robot observations from this tick's deliveries, merge
+    """Build per-robot observations from this tick's inboxes, merge
     received deposits into ACO replicas, and collect heard dance adverts.
 
     Only reports of robots that actually moved contribute a neighbor
@@ -259,8 +258,7 @@ def _assemble_observations(
         headings: list[tuple[Direction, int]] = []
         reported_cell: dict[int, HexCoord] = {}
         reported_dist: dict[int, int] = {}
-        for delivery in mailboxes[rid].delivered:
-            msg = delivery.message
+        for msg in inbox[rid]:
             if msg.kind == POSITION_REPORT:
                 if msg.payload.speed >= 1:
                     headings.append((msg.payload.heading, msg.payload.speed))
@@ -313,13 +311,11 @@ def tick(state: SimState) -> None:
     emissions = _emit_reports(state)
     positions = state.positions()
     adjacency = neighbor_index(positions, cfg.comm_range)
-    mailboxes = new_mailboxes(positions)
-    for rid in sorted(emissions):
-        for msg in emissions[rid][2]:
-            send(mailboxes, rid, msg)
-    flood_until_quiet(positions, mailboxes, cfg.comm_range, state.tracker, t, adjacency)
+    outbox = {rid: msgs for rid, (_, _, msgs) in emissions.items()}
+    inbox: dict[int, list[Message]] = {rid: [] for rid in positions}
+    flood_until_quiet(adjacency, outbox, inbox, state.tracker, t)
 
-    observations, heard = _assemble_observations(state, mailboxes, adjacency)
+    observations, heard = _assemble_observations(state, inbox, adjacency)
     state.last_observations = observations
 
     if cfg.controller == "bco":
@@ -466,16 +462,22 @@ def run(cfg: ScenarioConfig) -> RunResult:
 
 
 def check_invariants(state: SimState) -> None:
-    """Occupancy exclusivity, accessibility, and robot-count conservation."""
+    """Occupancy exclusivity, accessibility, and robot-count conservation;
+    explicit raises, not asserts, so ``python -O`` keeps the checks."""
     seen_ids = set()
     for cell, rid in state.world.occupancy.items():
-        assert state.world.accessible(cell), f"occupied inaccessible cell {cell}"
-        assert rid not in seen_ids, f"robot {rid} occupies two cells"
+        if not state.world.accessible(cell):
+            raise AssertionError(f"robot {rid} occupies inaccessible cell {cell}")
+        if rid in seen_ids:
+            raise AssertionError(f"robot {rid} occupies two cells")
         seen_ids.add(rid)
         robot = state.robots[rid]
-        assert robot.live and robot.pos == cell
+        if not (robot.live and robot.pos == cell):
+            raise AssertionError(f"cell {cell} holds robot {rid}, which is not live there")
+    for rid in state.live_ids():
+        if state.world.occupancy.get(state.robots[rid].pos) != rid:
+            raise AssertionError(f"live robot {rid} is not on its cell {state.robots[rid].pos}")
     live = sum(1 for r in state.robots.values() if r.live)
     removed = sum(1 for r in state.robots.values() if r.arrived or r.scripted_removed)
-    assert live + len(state.pending_spawn) + removed == len(state.robots)
-    for rid in state.live_ids():
-        assert state.world.occupancy.get(state.robots[rid].pos) == rid
+    if live + len(state.pending_spawn) + removed != len(state.robots):
+        raise AssertionError(f"robot count not conserved: {live} live, {removed} removed")

@@ -13,7 +13,7 @@ import pytest
 from hexswarm.aco import AcoParams, PheromoneField, transition_probs
 from hexswarm.bco import BcoParams, DanceBoard, Task, choose_task, elect_leader
 from hexswarm.cli import trace_csv
-from hexswarm.comms import TrackerLog, comm_neighbors, flood_until_quiet, new_mailboxes, send
+from hexswarm.comms import TrackerLog, comm_neighbors, flood_until_quiet, neighbor_index
 from hexswarm.comms import Message, POSITION_REPORT
 from hexswarm.config import parse_config
 from hexswarm.engine import (
@@ -282,12 +282,15 @@ def test_criterion_09_flooding_matches_bfs_hop_oracle():
                 if nb not in hops:
                     hops[nb] = hops[rid] + 1
                     frontier.append(nb)
+        adjacency = neighbor_index(positions, 2)
         for ttl in (1, 3, 5):
-            boxes = new_mailboxes(positions)
-            send(boxes, origin, Message(origin, 0, POSITION_REPORT, None, ttl))
-            flood_until_quiet(positions, boxes, 2, TrackerLog())
+            inbox = {rid: [] for rid in positions}
+            tracker = TrackerLog()
+            outbox = {origin: [Message(origin, 0, POSITION_REPORT, None, ttl)]}
+            flood_until_quiet(adjacency, outbox, inbox, tracker)
             for rid in positions:
-                delivered = {d.message.msg_id: d.hops for d in boxes[rid].delivered}
+                delivered = {(e.origin, e.seq): e.hops for e in tracker.entries if e.relay == rid}
+                assert [m.msg_id for m in inbox[rid]] == list(delivered)
                 if rid != origin and rid in hops and hops[rid] <= ttl:
                     assert delivered == {(origin, 0): hops[rid]}
                 else:

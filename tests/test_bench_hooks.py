@@ -5,11 +5,16 @@ those names breaks the benchmark only when it runs; this test fails first."""
 
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-SPANS_PY = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS_PY = ROOT / "perfbench" / "spans.py"
 
 
 def load_spans():
@@ -37,3 +42,38 @@ HOOKS = [(owner, attr) for owner, attr, _ in load_spans().SPANS] + [
 @pytest.mark.parametrize("owner,attr", HOOKS, ids=[f"{o}.{a}" for o, a in HOOKS])
 def test_patched_name_resolves_to_a_callable(owner, attr):
     assert callable(resolve(owner, attr))
+
+
+# Installs the tracer in a fresh process (it patches for the life of the
+# process), runs the CLI and prints the tracer's counters.
+TRACED_RUN = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+tracer = spans.Tracer()
+tracer.install()
+from hexswarm import cli
+cli.main(sys.argv[2:])
+print(json.dumps(tracer.counts))
+"""
+
+
+def test_traced_deliveries_match_the_summary(tmp_path):
+    """comms.deliveries adds up what flood_until_quiet returns; it must equal
+    the deliveries the run itself counts."""
+    argv = ["--scenario", str(ROOT / "scenarios" / "bco_failover.cfg")]
+    argv += ["--seed", "1", "--ticks", "40", "--out", str(tmp_path)]
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(SPANS_PY), *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = json.loads(proc.stdout)
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    assert summary["messages_delivered"] > 0
+    assert counts["comms.deliveries"] == summary["messages_delivered"]

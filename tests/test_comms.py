@@ -141,6 +141,23 @@ class TestNeighborIndex:
         assert best_of(lambda: neighbor_index(positions, 60)) <= best_of(all_pairs)
 
 
+def flood_fresh(positions, comm_range, messages, tracker=None, tick=0):
+    """flood_until_quiet over the neighbor index of positions, every message
+    freshly sent by its origin; returns (deliveries, inbox)."""
+    outbox = {}
+    for message in messages:
+        outbox.setdefault(message.origin, []).append(message)
+    inbox = {rid: [] for rid in positions}
+    made = flood_until_quiet(
+        neighbor_index(positions, comm_range),
+        outbox,
+        inbox,
+        TrackerLog() if tracker is None else tracker,
+        tick,
+    )
+    return made, inbox
+
+
 class TestFloodRound:
     def chain(self):
         return {0: HexCoord(0, 0), 1: HexCoord(1, 0), 2: HexCoord(2, 0)}
@@ -158,42 +175,34 @@ class TestFloodRound:
         assert flood_round(positions, boxes, 1, tracker) == 0
 
     def test_ttl_one_never_reaches_end_of_chain(self):
-        positions = self.chain()
-        boxes = new_mailboxes(positions)
-        tracker = TrackerLog()
-        send(boxes, 0, msg(origin=0, ttl=1))
-        flood_until_quiet(positions, boxes, 1, tracker)
-        assert len(boxes[1].delivered) == 1
-        assert boxes[2].delivered == []
+        _, inbox = flood_fresh(self.chain(), 1, [msg(origin=0, ttl=1)])
+        assert len(inbox[1]) == 1
+        assert inbox[2] == []
 
     def test_reinjection_after_full_delivery_is_silent(self):
         positions = self.chain()
         boxes = new_mailboxes(positions)
         tracker = TrackerLog()
         send(boxes, 0, msg(origin=0, seq=0, ttl=5))
-        flood_until_quiet(positions, boxes, 1, tracker)
+        flood_by_rounds(positions, boxes, 1, tracker, 0)
         before = len(tracker)
         send(boxes, 0, msg(origin=0, seq=0, ttl=5))
-        assert flood_until_quiet(positions, boxes, 1, tracker) == 0
+        assert flood_by_rounds(positions, boxes, 1, tracker, 0) == 0
         assert len(tracker) == before
 
     def test_ttl_zero_message_is_never_relayed(self):
-        positions = self.chain()
-        boxes = new_mailboxes(positions)
-        send(boxes, 0, msg(origin=0, ttl=0))
-        assert flood_until_quiet(positions, boxes, 1, TrackerLog()) == 0
+        made, inbox = flood_fresh(self.chain(), 1, [msg(origin=0, ttl=0)])
+        assert made == 0
+        assert all(got == [] for got in inbox.values())
 
     def test_no_robot_receives_a_message_twice(self):
         rng = random.Random(5)
         for _ in range(50):
             positions = random_positions(rng, 10)
-            boxes = new_mailboxes(positions)
-            tracker = TrackerLog()
-            for origin in (0, 3, 7):
-                send(boxes, origin, msg(origin=origin, seq=origin, ttl=4))
-            flood_until_quiet(positions, boxes, 2, tracker)
-            for rid, box in boxes.items():
-                ids = [d.message.msg_id for d in box.delivered]
+            sends = [msg(origin=origin, seq=origin, ttl=4) for origin in (0, 3, 7)]
+            _, inbox = flood_fresh(positions, 2, sends)
+            for rid, got in inbox.items():
+                ids = [m.msg_id for m in got]
                 assert len(ids) == len(set(ids))
 
     def test_delivery_set_and_hops_match_bfs_oracle(self):
@@ -202,12 +211,12 @@ class TestFloodRound:
             positions = random_positions(rng, 12)
             ttl = rng.choice((1, 2, 3, 5))
             origin = rng.randrange(12)
-            boxes = new_mailboxes(positions)
-            send(boxes, origin, msg(origin=origin, ttl=ttl))
-            flood_until_quiet(positions, boxes, 2, TrackerLog())
+            tracker = TrackerLog()
+            _, inbox = flood_fresh(positions, 2, [msg(origin=origin, ttl=ttl)], tracker)
             oracle = bfs_hops(positions, 2, origin)
             for rid in positions:
-                got = {d.message.msg_id: d.hops for d in boxes[rid].delivered}
+                got = {(e.origin, e.seq): e.hops for e in tracker.entries if e.relay == rid}
+                assert [m.msg_id for m in inbox[rid]] == list(got)
                 if rid == origin:
                     assert got == {}
                 elif rid in oracle and oracle[rid] <= ttl:
@@ -220,11 +229,9 @@ class TestFloodRound:
         positions = random_positions(rng, 10)
 
         def one_run():
-            boxes = new_mailboxes(positions)
             tracker = TrackerLog()
-            for origin in range(10):
-                send(boxes, origin, msg(origin=origin, seq=5, ttl=3))
-            flood_until_quiet(positions, boxes, 2, tracker, tick=9)
+            sends = [msg(origin=origin, seq=5, ttl=3) for origin in range(10)]
+            flood_fresh(positions, 2, sends, tracker, tick=9)
             return tracker.entries
 
         assert one_run() == one_run()
@@ -270,51 +277,34 @@ def flood_by_rounds(positions, boxes, comm_range, tracker, tick):
 
 @st.composite
 def flood_cases(draw):
-    """Robots packed densely enough for many ties between relays, a first
-    batch of 1-4 origins with 1-3 messages each, and a second batch that may
-    re-send ids the first one flooded, from the origin or another robot,
-    possibly twice."""
+    """Robots packed densely enough for many ties between relays, and 1-4
+    origins each freshly sending 1-3 messages with distinct seqs."""
     cells = st.builds(HexCoord, st.integers(-4, 4), st.integers(-4, 4))
     positions = draw(st.dictionaries(st.integers(0, 60), cells, min_size=2, max_size=16))
-    ids = sorted(positions)
     comm_range = draw(st.integers(1, 3))
-    first = []
-    for origin in draw(st.lists(st.sampled_from(ids), min_size=1, max_size=4, unique=True)):
-        for seq in range(draw(st.integers(1, 3))):
-            ttl = draw(st.integers(0, 5))
-            first.append((origin, Message(origin, seq, POSITION_REPORT, None, ttl)))
-    again = []
-    for _ in range(draw(st.integers(0, 2))):
-        _, old = draw(st.sampled_from(first))
-        sender = draw(st.sampled_from([old.origin, *ids]))
-        again.append((sender, old._replace(ttl=draw(st.integers(0, 5)))))
-    return positions, comm_range, [first, again], draw(st.booleans())
+    origins = st.lists(st.sampled_from(sorted(positions)), min_size=1, max_size=4, unique=True)
+    sends = []
+    for origin in draw(origins):
+        for seq in draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True)):
+            sends.append(Message(origin, seq, POSITION_REPORT, None, draw(st.integers(0, 5))))
+    return positions, comm_range, sends
 
 
 class TestFloodUntilQuiet:
     @PROPERTY
     @given(flood_cases())
     def test_matches_rounds_driven_to_quiescence(self, case):
-        positions, comm_range, batches, pass_index = case
+        positions, comm_range, sends = case
+        tracker = TrackerLog()
+        made, inbox = flood_fresh(positions, comm_range, sends, tracker, tick=4)
 
-        def outcome(flood):
-            boxes = new_mailboxes(positions)
-            tracker = TrackerLog()
-            made = []
-            for batch in batches:
-                for sender, message in batch:
-                    send(boxes, sender, message)
-                made.append(flood(boxes, tracker))
-            state = {rid: (box.delivered, box.seen, box.outbound) for rid, box in boxes.items()}
-            return made, tracker.entries, len(tracker), state
+        boxes = new_mailboxes(positions)
+        for message in sends:
+            send(boxes, message.origin, message)
+        rounds_tracker = TrackerLog()
+        rounds_made = flood_by_rounds(positions, boxes, comm_range, rounds_tracker, 4)
 
-        adjacency = neighbor_index(positions, comm_range) if pass_index else None
-        got = outcome(
-            lambda boxes, tracker: flood_until_quiet(
-                positions, boxes, comm_range, tracker, 4, adjacency
-            )
-        )
-        expected = outcome(
-            lambda boxes, tracker: flood_by_rounds(positions, boxes, comm_range, tracker, 4)
-        )
-        assert got == expected
+        assert made == rounds_made
+        assert tracker.entries == rounds_tracker.entries
+        assert len(tracker) == len(rounds_tracker)
+        assert inbox == {rid: [d.message for d in box.delivered] for rid, box in boxes.items()}

@@ -1,9 +1,22 @@
 """Scenario config parsing and validation tests."""
 
+from dataclasses import fields
+from typing import get_type_hints
+
 import pytest
 
+from hexswarm.aco import AcoParams
+from hexswarm.bco import BcoParams
 from hexswarm.config import ConfigError, config_overrides, parse_config
+from hexswarm.ga import GaParams
 from hexswarm.hexworld import HexCoord
+
+FLOAT_KEYS = [
+    (section, f.name)
+    for section, params in (("ga", GaParams), ("aco", AcoParams), ("bco", BcoParams))
+    for f in fields(params)
+    if get_type_hints(params)[f.name] is float
+]
 
 
 class TestDefaults:
@@ -86,6 +99,12 @@ class TestParseErrors:
     def test_empty_repeated_section_is_rejected(self):
         with pytest.raises(ConfigError, match=r"^line 2: repeated section \[bco\]$"):
             parse_config("[bco]\n[bco]\n")
+
+    @pytest.mark.parametrize("section,key", FLOAT_KEYS, ids=[f"{s}.{k}" for s, k in FLOAT_KEYS])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_float_is_rejected_with_line_and_key(self, section, key, value):
+        with pytest.raises(ConfigError, match=rf"^line 2: bad value for '{key}': "):
+            parse_config(f"[{section}]\n{key} = {value}\n")
 
 
 class TestValidation:

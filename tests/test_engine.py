@@ -1,7 +1,14 @@
 """Engine tests: spawning through the entry cell, conflict resolution,
 the tick phase contract, run termination, determinism, and invariants."""
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexswarm.config import parse_config
 from hexswarm.engine import (
@@ -18,6 +25,8 @@ from hexswarm.engine import (
     tick,
 )
 from hexswarm.hexworld import Direction, HexCoord, hex_distance
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def cfg_text(**kv):
@@ -261,3 +270,70 @@ class TestRun:
         assert res.summary["fraction_arrived"] == arrived / 5
         if res.status == STATUS_SUCCESS:
             assert arrived == 5
+
+
+@st.composite
+def removal_scenarios(draw):
+    """A small board, 2-12 robots and a removal script, timed while robots
+    still spawn (at most one a tick) and early runs end, so some robots go
+    before they spawn and some after; some are named twice."""
+    radius = draw(st.integers(4, 6))
+    robots = draw(st.integers(2, 12))
+    when = st.integers(0, robots + 10)
+    removals = draw(st.lists(st.tuples(when, st.integers(0, robots - 1)), max_size=8))
+    if removals:
+        for _, rid in draw(st.lists(st.sampled_from(removals), max_size=3)):
+            removals.append((draw(when), rid))
+    return cfg_text(
+        controller=draw(st.sampled_from(("ga", "aco", "bco"))),
+        robots=robots,
+        radius=radius,
+        margin=1,
+        target=f"{radius - 2},0",
+        entry=f"{2 - radius},0",
+        seed=draw(st.integers(0, 2**64 - 1)),
+        max_ticks=draw(st.integers(30, 60)),
+        removals=", ".join(f"{t}:{rid}" for t, rid in removals),
+    )
+
+
+class TestRemovalsProperty:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(removal_scenarios())
+    def test_invariants_hold_every_tick_and_runs_replay(self, text):
+        cfg = parse_config(text)
+        state = init_state(cfg)
+        while state.tick < cfg.max_ticks:
+            tick(state)
+            check_invariants(state)
+            if not state.live_ids() and not state.pending_spawn:
+                break
+        for t, rid in cfg.removals:
+            if t < state.tick and not state.robots[rid].arrived:
+                assert state.robots[rid].scripted_removed
+        again = run(parse_config(text))
+        assert again.trace == state.trace
+        assert again.state.tracker.entries == state.tracker.entries
+
+
+class TestCheckInvariants:
+    def test_broken_state_fails_under_optimized_python(self):
+        """The checks are explicit raises: ``python -O`` strips assert
+        statements but must not strip these."""
+        script = (
+            "from hexswarm.config import parse_config\n"
+            "from hexswarm.engine import check_invariants, init_state\n"
+            "state = init_state(parse_config('robots = 3'))\n"
+            "state.robots[1].live = True  # live, but never placed\n"
+            "check_invariants(state)\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert proc.returncode != 0
+        assert "AssertionError: live robot 1 " in proc.stderr
