@@ -4,8 +4,8 @@ probabilistic direction rule over accessible neighbors.
 
 Pheromone stands in for transmitted data: a robot whose sensed target
 distance is d deposits Q / (1 + d) at its reported cell, so robots closer
-to the target write stronger trails; robots with no sensing leave only a
-small presence marker.
+to the target write stronger trails. The engine deposits only sensed
+distances: robots that do not sense the target leave no trail.
 """
 
 from __future__ import annotations

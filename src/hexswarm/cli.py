@@ -27,7 +27,6 @@ EXIT_USAGE = 1
 def write_atomic(path: Path, data: str) -> None:
     """Write via a temp file in the same directory plus rename, so a killed
     run never leaves a partial file under the final name."""
-    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
@@ -118,11 +117,14 @@ def main(argv: Optional[list[str]] = None) -> int:
                 raise ConfigError(
                     f"batch: last seed {last_seed} does not fit in an unsigned 64-bit integer"
                 )
+        out_dir = Path(args.out)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)  # before any run, not after it
+        except OSError as exc:
+            raise ConfigError(f"out: {exc}") from exc
     except ConfigError as exc:
         print(f"hexswarm: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-    out_dir = Path(args.out)
 
     if args.batch is None:
         result = run(cfg)

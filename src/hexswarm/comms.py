@@ -10,15 +10,16 @@ at hop count h, iff h <= the ttl.
 
 ``flood_round`` runs one round over mailboxes, re-sends included, and is
 the reference. ``flood_until_quiet`` floods the messages each origin has
-just sent straight into the inboxes of the robots they reach, as rounds run
-until none delivers would, from one breadth-first search per origin: in
-round h a robot at hop distance h gets the message from its least-id
-neighbor at distance h - 1, so the deliveries of a round come in groups per
-(round, sender), applied in the rounds' order (round, sender, (origin, seq),
-relay). It and ``connectivity_components`` read neighbors from
-``neighbor_index``, a grid of comm_range-wide buckets where each robot scans
-only the 3 x 3 buckets around its own; ``comm_neighbors`` is the per-robot
-all-pairs reference.
+just sent, as rounds run until none delivers would, from one breadth-first
+search per origin: in round h a robot at hop distance h gets the message
+from its least-id neighbor at distance h - 1, so the deliveries of a round
+come in groups per (round, sender), recorded in the rounds' order (round,
+sender, (origin, seq), relay). Rather than per-robot inboxes, it fills in
+each origin's reach, the robots within its messages' ttl: with one ttl for
+all, the comm graph's symmetry makes them the origins the origin hears. It
+and ``connectivity_components`` read neighbors from ``neighbor_index``, a
+grid of comm_range-wide buckets where each robot scans only the 3 x 3
+buckets around its own; ``comm_neighbors`` is the all-pairs reference.
 """
 
 from __future__ import annotations
@@ -233,13 +234,14 @@ def flood_round(
 
 def _bfs_layers(
     masks: dict[int, int], robots: list[int], source: int, source_bit: int, depth: int
-) -> list[list[tuple[int, tuple[int, ...]]]]:
+) -> tuple[list[list[tuple[int, tuple[int, ...]]]], list[int]]:
     """Breadth-first search from source to depth hops over neighbor bit masks
     (bit i stands for robots[i], robots ascending; source_bit is the source's
-    own bit). Layer h - 1 holds
-    (sender, robots first reached at hop h) pairs, senders ascending, so each
-    robot hangs under its least-id neighbor one hop nearer."""
+    own bit). Returns the layers and the robots reached, ascending. Layer
+    h - 1 holds (sender, robots first reached at hop h) pairs, senders
+    ascending, so each robot hangs under its least-id neighbor one hop nearer."""
     layers = []
+    ball: list[int] = []
     reached = source_bit
     frontier = [source]
     while frontier and len(layers) < depth:
@@ -258,13 +260,15 @@ def _bfs_layers(
                 reached_now += relays
         layers.append(layer)
         frontier = sorted(reached_now)
-    return layers
+        ball += frontier
+    ball.sort()  # merges the layers' sorted runs
+    return layers, ball
 
 
 def flood_until_quiet(
     adjacency: dict[int, list[int]],
     outbox: dict[int, list[Message]],
-    inbox: dict[int, list[Message]],
+    reach: dict[int, list[int]],
     tracker: TrackerLog,
     tick: int = 0,
 ) -> int:
@@ -272,28 +276,28 @@ def flood_until_quiet(
     returns the number of deliveries.
 
     adjacency lists neighbors ascending, as ``neighbor_index`` does; outbox
-    maps an origin to its new messages, seqs distinct. Each message goes into
-    the inbox list of every robot it reaches, and its rows into the tracker,
-    in the order the rounds of ``flood_round`` would deliver them.
+    maps an origin to its new messages, seqs distinct. reach[origin] is set
+    to the ascending ids of the robots within the largest ttl of the
+    origin's messages, the origin excluded. The tracker gets every delivery
+    in the order the rounds of ``flood_round`` would make them.
     """
     robots = sorted(adjacency)  # bit i of a mask stands for robots[i]
     bit = {rid: 1 << i for i, rid in enumerate(robots)}
     masks = {rid: sum([bit[nb] for nb in neighbors]) for rid, neighbors in adjacency.items()}
-    groups = []  # (round, sender, msg_id, message, relays)
+    groups = []  # (round, sender, msg_id, relays)
     for origin, messages in outbox.items():
-        layers = _bfs_layers(masks, robots, origin, bit[origin], max(msg.ttl for msg in messages))
+        depth = max(msg.ttl for msg in messages)
+        layers, reach[origin] = _bfs_layers(masks, robots, origin, bit[origin], depth)
         for msg in messages:
             msg_id = msg.msg_id  # one tuple shared by all of the message's chunks
             for rnd, layer in enumerate(layers[: msg.ttl], 1):
                 for sender, relays in layer:
-                    groups.append((rnd, sender, msg_id, msg, relays))
+                    groups.append((rnd, sender, msg_id, relays))
     groups.sort()  # (round, sender, msg_id) is unique: seqs differ per origin
 
     chunks = []
     total = 0
-    for rnd, _, msg_id, msg, relays in groups:
-        for relay in relays:
-            inbox[relay].append(msg)
+    for rnd, _, msg_id, relays in groups:
         chunks.append((tick, msg_id, rnd, relays))
         total += len(relays)
     tracker.extend(chunks, total)

@@ -1,9 +1,11 @@
 """Deterministic tick loop that owns all mutable state and all rng streams.
 
-Each tick runs fixed phases: scripted removals, spawn, report emission,
-flooding to quiescence, observation assembly (plus pheromone replica merge),
-leader election, controller decisions, conflict resolution, pheromone
-deposit/evaporation, then arrival retirement and trace recording.
+Each tick runs fixed phases: scripted removals, spawn, report emission (plus
+observer deposits), flooding to quiescence, observation assembly from each
+robot's reach (plus pheromone replica merge), leader election, controller
+decisions, conflict resolution, evaporation, then one pass of trace
+recording, arrival retirement and distances. Every phase after spawn reads
+the one live list taken there.
 
 Every random draw comes from a stream derived from the root seed by a
 stable label (per-robot-per-tick decide labels, a per-tick conflict label,
@@ -120,9 +122,6 @@ class SimState:
     def live_ids(self) -> list[int]:
         return sorted(rid for rid, r in self.robots.items() if r.live)
 
-    def positions(self) -> dict[int, HexCoord]:
-        return {rid: self.robots[rid].pos for rid in self.live_ids()}
-
     def arrived_count(self) -> int:
         return sum(1 for r in self.robots.values() if r.arrived)
 
@@ -200,19 +199,15 @@ def resolve_conflicts(
     return executed
 
 
-def _emit_reports(state: SimState) -> dict[int, tuple[HexCoord, Optional[int], list[Message]]]:
-    """Per live robot: sense the target, update own knowledge, and build this
-    tick's messages (position report, target report when sensing, dance
-    advert for the BCO leader)."""
+def _emit_reports(state: SimState, live: list[int]) -> dict[int, list[Message]]:
+    """The outbox: per live robot, sense the target, update own knowledge,
+    deposit a sensed distance in the observer field, and build this tick's
+    messages (position report, target report when sensing, dance advert for
+    the BCO leader)."""
     cfg = state.config
-    out = {}
-    for rid in state.live_ids():
+    outbox = {}
+    for rid in live:
         robot = state.robots[rid]
-        own_d = hex_distance(robot.pos, state.world.target)
-        sensed = own_d if own_d <= cfg.sensing_radius else None
-        if sensed is not None:
-            if robot.known_target_distance is None or sensed < robot.known_target_distance:
-                robot.known_target_distance = sensed
         msgs = [
             Message(
                 rid,
@@ -222,10 +217,15 @@ def _emit_reports(state: SimState) -> dict[int, tuple[HexCoord, Optional[int], l
                 cfg.ttl,
             )
         ]
-        if sensed is not None:
+        own_d = hex_distance(robot.pos, state.world.target)
+        if own_d <= cfg.sensing_radius:
+            if robot.known_target_distance is None or own_d < robot.known_target_distance:
+                robot.known_target_distance = own_d
             msgs.append(
-                Message(rid, robot.take_seq(), TARGET_REPORT, TargetReport(sensed, state.tick), cfg.ttl)
+                Message(rid, robot.take_seq(), TARGET_REPORT, TargetReport(own_d, state.tick), cfg.ttl)
             )
+            if state.global_pher is not None:
+                state.global_pher.deposit(state.world, robot.pos, own_d)
         if state.board is not None and state.board.leader == rid:
             msgs.append(
                 Message(
@@ -236,49 +236,47 @@ def _emit_reports(state: SimState) -> dict[int, tuple[HexCoord, Optional[int], l
                     cfg.ttl,
                 )
             )
-        out[rid] = (robot.pos, sensed, msgs)
-    return out
+        outbox[rid] = msgs
+    return outbox
 
 
 def _assemble_observations(
     state: SimState,
-    inbox: dict[int, list[Message]],
+    outbox: dict[int, list[Message]],
+    reach: dict[int, list[int]],
     adjacency: dict[int, list[int]],
 ) -> tuple[dict[int, Observation], dict[int, DanceBoard]]:
-    """Build per-robot observations from this tick's inboxes, merge
+    """Build per-robot observations from the messages each robot heard, merge
     received deposits into ACO replicas, and collect heard dance adverts.
+
+    Every live robot sends, all with ttl = cfg.ttl, over a symmetric comm
+    graph, so robot r hears exactly the origins in reach[r]. Their payloads
+    are decoded, not re-read from the robots: an advert's strength is a
+    snapshot taken at emission.
 
     Only reports of robots that actually moved contribute a neighbor
     heading: a stationary robot has no motion to align with.
     """
     observations = {}
     heard: dict[int, DanceBoard] = {}
-    for rid in state.live_ids():
+    for rid in outbox:
         robot = state.robots[rid]
         headings: list[tuple[Direction, int]] = []
-        reported_cell: dict[int, HexCoord] = {}
-        reported_dist: dict[int, int] = {}
-        for msg in inbox[rid]:
-            if msg.kind == POSITION_REPORT:
-                if msg.payload.speed >= 1:
-                    headings.append((msg.payload.heading, msg.payload.speed))
-                reported_cell[msg.origin] = msg.payload.cell
-            elif msg.kind == TARGET_REPORT:
-                d = msg.payload.distance
-                reported_dist[msg.origin] = d
-                if robot.known_target_distance is None or d < robot.known_target_distance:
-                    robot.known_target_distance = d
-            elif msg.kind == DANCE_ADVERT:
-                adv = msg.payload
-                heard[rid] = DanceBoard(adv.leader, adv.direction, adv.strength, state.tick)
-        if robot.pher is not None:
-            # Trails carry target data: only origins that sensed the target
-            # this tick deposit, at closeness-scaled strength.
-            for origin in sorted(reported_dist):
-                if origin in reported_cell:
-                    robot.pher.deposit(
-                        state.world, reported_cell[origin], reported_dist[origin]
-                    )
+        for origin in reach[rid]:
+            for msg in outbox[origin]:  # its position report first: cell is the origin's
+                if msg.kind == POSITION_REPORT:
+                    if msg.payload.speed >= 1:
+                        headings.append((msg.payload.heading, msg.payload.speed))
+                    cell = msg.payload.cell
+                elif msg.kind == TARGET_REPORT:
+                    d = msg.payload.distance
+                    if robot.known_target_distance is None or d < robot.known_target_distance:
+                        robot.known_target_distance = d
+                    if robot.pher is not None:  # trails carry target data
+                        robot.pher.deposit(state.world, cell, d)
+                elif msg.kind == DANCE_ADVERT:
+                    adv = msg.payload
+                    heard[rid] = DanceBoard(adv.leader, adv.direction, adv.strength, state.tick)
         observations[rid] = Observation(
             situation=robot.pos,
             degree=len(adjacency[rid]),
@@ -308,14 +306,13 @@ def tick(state: SimState) -> None:
 
     spawn_step(state)
 
-    emissions = _emit_reports(state)
-    positions = state.positions()
-    adjacency = neighbor_index(positions, cfg.comm_range)
-    outbox = {rid: msgs for rid, (_, _, msgs) in emissions.items()}
-    inbox: dict[int, list[Message]] = {rid: [] for rid in positions}
-    flood_until_quiet(adjacency, outbox, inbox, state.tracker, t)
+    live = state.live_ids()  # unchanged until arrival retirement
+    outbox = _emit_reports(state, live)
+    adjacency = neighbor_index({rid: state.robots[rid].pos for rid in live}, cfg.comm_range)
+    reach: dict[int, list[int]] = {}
+    flood_until_quiet(adjacency, outbox, reach, state.tracker, t)
 
-    observations, heard = _assemble_observations(state, inbox, adjacency)
+    observations, heard = _assemble_observations(state, outbox, reach, adjacency)
     state.last_observations = observations
 
     if cfg.controller == "bco":
@@ -323,7 +320,6 @@ def tick(state: SimState) -> None:
         # heard one heard the leader.
         if heard:
             state.board.last_heard_tick = t
-        live = state.live_ids()
         if live:
             state.board = elect_leader(
                 {rid: state.robots[rid].heading for rid in live},
@@ -334,7 +330,7 @@ def tick(state: SimState) -> None:
             )
 
     intents = []
-    for rid in state.live_ids():
+    for rid in live:
         robot = state.robots[rid]
         obs = observations[rid]
         rng = derive_rng(state.rng_root, "decide", t, rid)
@@ -354,25 +350,24 @@ def tick(state: SimState) -> None:
     resolve_conflicts(intents, state, derive_rng(state.rng_root, "conflict", t))
 
     if cfg.controller == "aco":
-        # Replica deposits happened during observation assembly, from each
-        # robot's delivered reports; a robot never smells its own trail.
-        # The observer field collects every sensing robot's deposit.
-        for rid in sorted(emissions):
-            cell, sensed, _ = emissions[rid]
-            if sensed is not None:
-                state.global_pher.deposit(state.world, cell, sensed)
-        for rid, robot in sorted(state.robots.items()):
-            if robot.pher is not None:
-                robot.pher.evaporate()
+        # A robot never smells its own trail: replicas got their deposits from
+        # heard reports. Those of robots that left are never read again, and
+        # those of pending robots are empty.
+        for rid in live:
+            state.robots[rid].pher.evaporate()
         state.global_pher.evaporate()
 
-    # trace rows for every robot that acted this tick, then arrival retirement
-    actors = state.live_ids()
-    components = connectivity_components(state.positions(), cfg.comm_range)
+    # Trace rows, arrival retirement and distances in one pass. Arrived robots
+    # count as distance 0; robots removed by script drop out.
+    components = connectivity_components(
+        {rid: state.robots[rid].pos for rid in live}, cfg.comm_range
+    )
     comp_size = {rid: len(comp) for comp in components for rid in comp}
     leader_id = state.board.leader if state.board else ""
-    for rid in actors:
+    distances = [0] * state.arrived_count()  # arrived on earlier ticks
+    for rid in live:
         robot = state.robots[rid]
+        d = hex_distance(robot.pos, state.world.target)
         state.trace.append(
             (
                 t,
@@ -381,33 +376,22 @@ def tick(state: SimState) -> None:
                 robot.pos.r,
                 int(robot.heading),
                 robot.last_speed,
-                hex_distance(robot.pos, state.world.target),
+                d,
                 cfg.controller,
                 leader_id,
                 comp_size[rid],
             )
         )
-
-    for rid in actors:
-        robot = state.robots[rid]
-        if hex_distance(robot.pos, state.world.target) <= ARRIVAL_DISTANCE:
+        if d <= ARRIVAL_DISTANCE:
             robot.live = False
             robot.arrived = True
             del state.world.occupancy[robot.pos]
             if state.first_arrival_tick is None:
                 state.first_arrival_tick = t
-
-    # Arrived robots count as distance 0; robots removed by script drop out.
-    distances = [0] * state.arrived_count()
-    distances += [
-        hex_distance(state.robots[rid].pos, state.world.target) for rid in state.live_ids()
-    ]
-    if distances:
-        state.median_series.append(float(statistics.median(distances)))
-        state.mean_series.append(statistics.fmean(distances))
-    else:
-        state.median_series.append(None)
-        state.mean_series.append(None)
+            d = 0
+        distances.append(d)
+    state.median_series.append(float(statistics.median(distances)) if distances else None)
+    state.mean_series.append(statistics.fmean(distances) if distances else None)
     state.component_series.append(max((len(c) for c in components), default=0))
 
     state.tick = t + 1
@@ -450,10 +434,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
     """Run a scenario to success, extinction, or the tick limit."""
     state = init_state(cfg)
     status = STATUS_TIMEOUT
-    while True:
-        if state.tick >= cfg.max_ticks:
-            status = STATUS_TIMEOUT
-            break
+    while state.tick < cfg.max_ticks:
         tick(state)
         if not state.live_ids() and not state.pending_spawn:
             status = STATUS_SUCCESS if state.arrived_count() > 0 else STATUS_EXTINCT

@@ -284,13 +284,13 @@ def test_criterion_09_flooding_matches_bfs_hop_oracle():
                     frontier.append(nb)
         adjacency = neighbor_index(positions, 2)
         for ttl in (1, 3, 5):
-            inbox = {rid: [] for rid in positions}
+            reach = {}
             tracker = TrackerLog()
             outbox = {origin: [Message(origin, 0, POSITION_REPORT, None, ttl)]}
-            flood_until_quiet(adjacency, outbox, inbox, tracker)
+            flood_until_quiet(adjacency, outbox, reach, tracker)
+            assert reach == {origin: sorted(r for r, h in hops.items() if 0 < h <= ttl)}
             for rid in positions:
                 delivered = {(e.origin, e.seq): e.hops for e in tracker.entries if e.relay == rid}
-                assert [m.msg_id for m in inbox[rid]] == list(delivered)
                 if rid != origin and rid in hops and hops[rid] <= ttl:
                     assert delivered == {(origin, 0): hops[rid]}
                 else:

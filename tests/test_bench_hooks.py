@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from hexswarm import cli
+
 ROOT = Path(__file__).resolve().parents[1]
 SPANS_PY = ROOT / "perfbench" / "spans.py"
 
@@ -61,12 +63,14 @@ print(json.dumps(tracer.counts))
 
 def test_traced_deliveries_match_the_summary(tmp_path):
     """comms.deliveries adds up what flood_until_quiet returns; it must equal
-    the deliveries the run itself counts."""
-    argv = ["--scenario", str(ROOT / "scenarios" / "bco_failover.cfg")]
-    argv += ["--seed", "1", "--ticks", "40", "--out", str(tmp_path)]
+    the deliveries the run itself counts. Tracing is an observer: the same
+    run untraced writes byte-identical files."""
+    traced, plain = tmp_path / "traced", tmp_path / "plain"
+    argv = ["--scenario", str(ROOT / "scenarios" / "bco_failover.cfg"), "--seed", "1"]
+    argv += ["--ticks", "40"]
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", TRACED_RUN, str(SPANS_PY), *argv],
+        [sys.executable, "-c", TRACED_RUN, str(SPANS_PY), *argv, "--out", str(traced)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": path},
@@ -74,6 +78,12 @@ def test_traced_deliveries_match_the_summary(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     counts = json.loads(proc.stdout)
-    summary = json.loads((tmp_path / "summary.json").read_text())
+    summary = json.loads((traced / "summary.json").read_text())
     assert summary["messages_delivered"] > 0
     assert counts["comms.deliveries"] == summary["messages_delivered"]
+
+    cli.main([*argv, "--out", str(plain)])
+    names = sorted(p.name for p in traced.iterdir())
+    assert names == sorted(p.name for p in plain.iterdir())
+    for name in names:
+        assert (traced / name).read_bytes() == (plain / name).read_bytes(), name

@@ -3,6 +3,7 @@
 import json
 from pathlib import Path
 
+from hexswarm import cli
 from hexswarm.cli import main
 from hexswarm.engine import TRACE_HEADER
 
@@ -104,6 +105,21 @@ class TestBatch:
 
 
 class TestExitStatuses:
+    def test_out_naming_a_file_fails_before_any_run(self, tmp_path, capsys, monkeypatch):
+        def no_run(cfg):
+            raise AssertionError("ran a simulation with nowhere to write it")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory\n")
+        scenario = write_scenario(tmp_path, SMALL)
+        code = main(["--scenario", scenario, "--out", str(taken)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("hexswarm: error: out: ")
+        assert str(taken) in err
+        assert taken.read_text() == "not a directory\n"
+
     def test_missing_scenario_file_is_usage_error(self, tmp_path, capsys):
         assert main(["--scenario", str(tmp_path / "nope.cfg")]) == 1
         assert "error" in capsys.readouterr().err

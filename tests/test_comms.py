@@ -143,19 +143,19 @@ class TestNeighborIndex:
 
 def flood_fresh(positions, comm_range, messages, tracker=None, tick=0):
     """flood_until_quiet over the neighbor index of positions, every message
-    freshly sent by its origin; returns (deliveries, inbox)."""
+    freshly sent by its origin; returns (deliveries, reach)."""
     outbox = {}
     for message in messages:
         outbox.setdefault(message.origin, []).append(message)
-    inbox = {rid: [] for rid in positions}
+    reach = {}
     made = flood_until_quiet(
         neighbor_index(positions, comm_range),
         outbox,
-        inbox,
+        reach,
         TrackerLog() if tracker is None else tracker,
         tick,
     )
-    return made, inbox
+    return made, reach
 
 
 class TestFloodRound:
@@ -175,9 +175,10 @@ class TestFloodRound:
         assert flood_round(positions, boxes, 1, tracker) == 0
 
     def test_ttl_one_never_reaches_end_of_chain(self):
-        _, inbox = flood_fresh(self.chain(), 1, [msg(origin=0, ttl=1)])
-        assert len(inbox[1]) == 1
-        assert inbox[2] == []
+        tracker = TrackerLog()
+        _, reach = flood_fresh(self.chain(), 1, [msg(origin=0, ttl=1)], tracker)
+        assert reach == {0: [1]}
+        assert [e.relay for e in tracker.entries] == [1]
 
     def test_reinjection_after_full_delivery_is_silent(self):
         positions = self.chain()
@@ -191,19 +192,21 @@ class TestFloodRound:
         assert len(tracker) == before
 
     def test_ttl_zero_message_is_never_relayed(self):
-        made, inbox = flood_fresh(self.chain(), 1, [msg(origin=0, ttl=0)])
+        tracker = TrackerLog()
+        made, reach = flood_fresh(self.chain(), 1, [msg(origin=0, ttl=0)], tracker)
         assert made == 0
-        assert all(got == [] for got in inbox.values())
+        assert reach == {0: []}
+        assert tracker.entries == []
 
     def test_no_robot_receives_a_message_twice(self):
         rng = random.Random(5)
         for _ in range(50):
             positions = random_positions(rng, 10)
             sends = [msg(origin=origin, seq=origin, ttl=4) for origin in (0, 3, 7)]
-            _, inbox = flood_fresh(positions, 2, sends)
-            for rid, got in inbox.items():
-                ids = [m.msg_id for m in got]
-                assert len(ids) == len(set(ids))
+            tracker = TrackerLog()
+            flood_fresh(positions, 2, sends, tracker)
+            copies = [(e.relay, e.origin, e.seq) for e in tracker.entries]
+            assert len(copies) == len(set(copies))
 
     def test_delivery_set_and_hops_match_bfs_oracle(self):
         rng = random.Random(17)
@@ -212,11 +215,11 @@ class TestFloodRound:
             ttl = rng.choice((1, 2, 3, 5))
             origin = rng.randrange(12)
             tracker = TrackerLog()
-            _, inbox = flood_fresh(positions, 2, [msg(origin=origin, ttl=ttl)], tracker)
+            _, reach = flood_fresh(positions, 2, [msg(origin=origin, ttl=ttl)], tracker)
             oracle = bfs_hops(positions, 2, origin)
+            assert reach == {origin: sorted(r for r, h in oracle.items() if 0 < h <= ttl)}
             for rid in positions:
                 got = {(e.origin, e.seq): e.hops for e in tracker.entries if e.relay == rid}
-                assert [m.msg_id for m in inbox[rid]] == list(got)
                 if rid == origin:
                     assert got == {}
                 elif rid in oracle and oracle[rid] <= ttl:
@@ -290,13 +293,19 @@ def flood_cases(draw):
     return positions, comm_range, sends
 
 
+def delivered_to(boxes, msg_id):
+    """Ascending ids of the robots whose mailbox got the message msg_id."""
+    got = {r for r, box in boxes.items() for d in box.delivered if d.message.msg_id == msg_id}
+    return sorted(got)
+
+
 class TestFloodUntilQuiet:
     @PROPERTY
     @given(flood_cases())
     def test_matches_rounds_driven_to_quiescence(self, case):
         positions, comm_range, sends = case
         tracker = TrackerLog()
-        made, inbox = flood_fresh(positions, comm_range, sends, tracker, tick=4)
+        made, reach = flood_fresh(positions, comm_range, sends, tracker, tick=4)
 
         boxes = new_mailboxes(positions)
         for message in sends:
@@ -307,4 +316,34 @@ class TestFloodUntilQuiet:
         assert made == rounds_made
         assert tracker.entries == rounds_tracker.entries
         assert len(tracker) == len(rounds_tracker)
-        assert inbox == {rid: [d.message for d in box.delivered] for rid, box in boxes.items()}
+        assert sorted(reach) == sorted({m.origin for m in sends})
+        for origin, got in reach.items():
+            widest = max((m for m in sends if m.origin == origin), key=lambda m: m.ttl)
+            assert got == delivered_to(boxes, widest.msg_id)
+
+    @PROPERTY
+    @given(
+        st.dictionaries(
+            st.integers(0, 60),
+            st.builds(HexCoord, st.integers(-4, 4), st.integers(-4, 4)),
+            min_size=1,
+            max_size=16,
+        ),
+        st.integers(1, 3),
+        st.integers(0, 5),
+    )
+    def test_with_one_ttl_each_robot_hears_the_origins_it_reaches(
+        self, positions, comm_range, ttl
+    ):
+        """The engine's assumption: when every robot sends with one ttl, the
+        origins robot r hears are exactly the robots r's own messages reach."""
+        sends = [Message(rid, 0, POSITION_REPORT, None, ttl) for rid in sorted(positions)]
+        _, reach = flood_fresh(positions, comm_range, sends)
+
+        boxes = new_mailboxes(positions)
+        for message in sends:
+            send(boxes, message.origin, message)
+        flood_by_rounds(positions, boxes, comm_range, TrackerLog(), 0)
+
+        for rid, box in boxes.items():
+            assert {d.message.origin for d in box.delivered} == set(reach[rid])

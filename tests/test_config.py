@@ -1,13 +1,14 @@
 """Scenario config parsing and validation tests."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
 
 from hexswarm.aco import AcoParams
 from hexswarm.bco import BcoParams
-from hexswarm.config import ConfigError, config_overrides, parse_config
+from hexswarm.config import ConfigError, ScenarioConfig, config_overrides, parse_config
 from hexswarm.ga import GaParams
 from hexswarm.hexworld import HexCoord
 
@@ -19,7 +20,27 @@ FLOAT_KEYS = [
 ]
 
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
 class TestDefaults:
+    def test_readme_scenario_block_parses_to_the_defaults(self):
+        """README's scenario block names every key once and, removals
+        aside, gives each its default."""
+        text = README.read_text().split("## Scenario format", 1)[1]
+        block = text.split("```\n", 2)[1]
+        cfg = parse_config(block)
+        assert cfg.removals == [(100, 3), (250, 0)]
+        assert replace(cfg, removals=[]) == ScenarioConfig()
+        keys = [
+            line.partition("=")[0].strip()
+            for line in block.splitlines()
+            if "=" in line and not line.startswith("#")
+        ]
+        every_key = [f.name for f in fields(ScenarioConfig) if f.name not in ("ga", "aco", "bco")]
+        every_key += [f.name for params in (GaParams, AcoParams, BcoParams) for f in fields(params)]
+        assert sorted(keys) == sorted(every_key)
+
     def test_empty_text_gives_documented_defaults(self):
         cfg = parse_config("")
         assert cfg.controller == "ga"

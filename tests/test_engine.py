@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -24,7 +25,7 @@ from hexswarm.engine import (
     spawn_step,
     tick,
 )
-from hexswarm.hexworld import Direction, HexCoord, hex_distance
+from hexswarm.hexworld import Direction, HexCoord, hex_distance, step
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -316,7 +317,58 @@ class TestRemovalsProperty:
         assert again.state.tracker.entries == state.tracker.entries
 
 
+def place(state, rid, cell):
+    """Spawn-like placement of pending robot rid on cell."""
+    state.pending_spawn.remove(rid)
+    robot = state.robots[rid]
+    robot.spawned = robot.live = True
+    robot.pos = cell
+    state.world.occupancy[cell] = rid
+
+
+def inaccessible_cell(state):
+    place(state, 0, HexCoord(100, 0))
+
+
+def two_cells(state):
+    place(state, 0, state.world.entry)
+    state.world.occupancy[step(state.world.entry, Direction.E)] = 0
+
+
+def non_live_occupant(state):
+    state.world.occupancy[state.world.entry] = 0  # robot 0 is still pending
+
+
+def unplaced_live_robot(state):
+    state.pending_spawn.remove(1)
+    state.robots[1].live = True
+
+
+def popped_from_pending(state):
+    state.pending_spawn.pop()
+
+
+# Each broken state is caught first by its own check, named by the message.
+BROKEN_STATES = [
+    (inaccessible_cell, r"robot 0 occupies inaccessible cell"),
+    (two_cells, r"robot 0 occupies two cells"),
+    (non_live_occupant, r"holds robot 0, which is not live there"),
+    (unplaced_live_robot, r"live robot 1 is not on its cell"),
+    (popped_from_pending, r"robot count not conserved: 0 live, 0 removed"),
+]
+
+
 class TestCheckInvariants:
+    @pytest.mark.parametrize(
+        "breaks,message", BROKEN_STATES, ids=[fn.__name__ for fn, _ in BROKEN_STATES]
+    )
+    def test_each_check_raises_its_own_message(self, breaks, message):
+        state = init_state(parse_config("robots = 3"))
+        check_invariants(state)
+        breaks(state)
+        with pytest.raises(AssertionError, match=message):
+            check_invariants(state)
+
     def test_broken_state_fails_under_optimized_python(self):
         """The checks are explicit raises: ``python -O`` strips assert
         statements but must not strip these."""
