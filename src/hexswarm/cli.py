@@ -51,7 +51,7 @@ def trace_csv(result: RunResult) -> str:
 
 
 def tracker_csv(result: RunResult) -> str:
-    return _csv_text(TRACKER_CSV_HEADER, result.state.tracker.rows())
+    return "".join([",".join(TRACKER_CSV_HEADER) + "\n", *result.state.tracker.parts])
 
 
 def field_csv(result: RunResult) -> str:

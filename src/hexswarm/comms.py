@@ -1,6 +1,6 @@
 """Range-limited ad hoc communication: neighbor discovery, synchronous
-TTL-bounded flooding with duplicate suppression, and a tracker that records
-every multi-hop delivery.
+TTL-bounded flooding with duplicate suppression, and a tracker that keeps
+every multi-hop delivery as the text of its tracker.csv row.
 
 Flooding runs in synchronous rounds. A robot that received a message at hop
 count h relays it to all comm neighbors, who receive it at hop count h + 1,
@@ -13,19 +13,20 @@ the reference. ``flood_until_quiet`` floods the messages each origin has
 just sent, as rounds run until none delivers would, from one breadth-first
 search per origin: in round h a robot at hop distance h gets the message
 from its least-id neighbor at distance h - 1, so the deliveries of a round
-come in groups per (round, sender), recorded in the rounds' order (round,
-sender, (origin, seq), relay). Rather than per-robot inboxes, it fills in
-each origin's reach, the robots within its messages' ttl: with one ttl for
-all, the comm graph's symmetry makes them the origins the origin hears. It
-and ``connectivity_components`` read neighbors from ``neighbor_index``, a
-grid of comm_range-wide buckets where each robot scans only the 3 x 3
-buckets around its own; ``comm_neighbors`` is the all-pairs reference.
+come in groups per (round, sender), written in the rounds' order (round,
+sender, (origin, seq), relay) as one string of tracker rows per call.
+Rather than per-robot inboxes, it fills in each origin's reach, the robots
+within its messages' ttl: with one ttl for all, the comm graph's symmetry
+makes them the origins the origin hears. It and ``connectivity_components``
+read neighbors from ``neighbor_index``, a grid of comm_range-wide buckets
+where each robot scans only the 3 x 3 buckets around its own;
+``comm_neighbors`` is the all-pairs reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterator, NamedTuple, Sequence
+from typing import Any, NamedTuple
 
 from .hexworld import Direction, HexCoord, hex_distance
 
@@ -81,37 +82,28 @@ class TrackEntry(NamedTuple):
 TRACKER_CSV_HEADER = ("tick", "msg_origin", "msg_seq", "relay", "hops")
 
 
-# (tick, (origin, seq), hops, relays): the relays that got one message at one
-# hop count from one sender, in delivery order.
-Chunk = tuple[int, tuple[int, int], int, Sequence[int]]
-
-
 class TrackerLog:
     """Observation record of every delivery across the ad hoc network, kept
-    as chunks; rows are built only when read."""
+    as the text of its tracker.csv rows, one string per flood; entries are
+    parsed back only when read."""
 
     def __init__(self) -> None:
-        self.chunks: list[Chunk] = []
+        self.parts: list[str] = []
         self.count = 0
 
-    def extend(self, chunks: list[Chunk], count: int) -> None:
-        """Append chunks holding count deliveries in all."""
-        self.chunks += chunks
+    def extend(self, text: str, count: int) -> None:
+        """Append text holding count rows."""
+        self.parts.append(text)
         self.count += count
 
     def record(self, tick: int, msg: Message, relay: int, hops: int) -> None:
-        self.chunks.append((tick, msg.msg_id, hops, (relay,)))
+        self.parts.append(f"{tick},{msg.origin},{msg.seq},{relay},{hops}\n")
         self.count += 1
-
-    def rows(self) -> Iterator[tuple[int, int, int, int, int]]:
-        """Every delivery in order, as plain (tick, origin, seq, relay, hops) rows."""
-        for tick, (origin, seq), hops, relays in self.chunks:
-            for relay in relays:
-                yield (tick, origin, seq, relay, hops)
 
     @property
     def entries(self) -> list[TrackEntry]:
-        return [TrackEntry._make(row) for row in self.rows()]
+        lines = "".join(self.parts).splitlines()
+        return [TrackEntry._make(map(int, line.split(","))) for line in lines]
 
     def __len__(self) -> int:
         return self.count
@@ -256,7 +248,7 @@ def _bfs_layers(
                     low = fresh & -fresh
                     relays.append(robots[low.bit_length() - 1])
                     fresh ^= low
-                layer.append((sender, tuple(relays)))  # kept by the tracker: no spare slots
+                layer.append((sender, relays))
                 reached_now += relays
         layers.append(layer)
         frontier = sorted(reached_now)
@@ -284,23 +276,28 @@ def flood_until_quiet(
     robots = sorted(adjacency)  # bit i of a mask stands for robots[i]
     bit = {rid: 1 << i for i, rid in enumerate(robots)}
     masks = {rid: sum([bit[nb] for nb in neighbors]) for rid, neighbors in adjacency.items()}
-    groups = []  # (round, sender, msg_id, relays)
+    groups = []  # (round, sender, msg_id, head, relays)
+    rounds = 0
     for origin, messages in outbox.items():
         depth = max(msg.ttl for msg in messages)
         layers, reach[origin] = _bfs_layers(masks, robots, origin, bit[origin], depth)
+        rounds = max(rounds, len(layers))
         for msg in messages:
-            msg_id = msg.msg_id  # one tuple shared by all of the message's chunks
+            msg_id = msg.msg_id
+            head = f"{tick},{origin},{msg.seq},"  # a row up to its relay
             for rnd, layer in enumerate(layers[: msg.ttl], 1):
                 for sender, relays in layer:
-                    groups.append((rnd, sender, msg_id, relays))
+                    groups.append((rnd, sender, msg_id, head, relays))
     groups.sort()  # (round, sender, msg_id) is unique: seqs differ per origin
 
-    chunks = []
+    tails = [f",{hops}\n" for hops in range(rounds + 1)]  # a row from its hops on
+    lines = []
     total = 0
-    for rnd, _, msg_id, relays in groups:
-        chunks.append((tick, msg_id, rnd, relays))
+    for rnd, _, _, head, relays in groups:
+        tail = tails[rnd]
+        lines.append(head + (tail + head).join(map(str, relays)) + tail)
         total += len(relays)
-    tracker.extend(chunks, total)
+    tracker.extend("".join(lines), total)
     return total
 
 

@@ -436,7 +436,7 @@ def run(cfg: ScenarioConfig) -> RunResult:
     status = STATUS_TIMEOUT
     while state.tick < cfg.max_ticks:
         tick(state)
-        if not state.live_ids() and not state.pending_spawn:
+        if not any(r.live for r in state.robots.values()) and not state.pending_spawn:
             status = STATUS_SUCCESS if state.arrived_count() > 0 else STATUS_EXTINCT
             break
     return RunResult(status, state.trace, build_summary(state, status), state)

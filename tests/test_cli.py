@@ -1,11 +1,15 @@
 """CLI tests: flag layering, output files, batch mode, and exit statuses."""
 
 import json
+import tracemalloc
 from pathlib import Path
 
 from hexswarm import cli
-from hexswarm.cli import main
-from hexswarm.engine import TRACE_HEADER
+from hexswarm.cli import main, tracker_csv
+from hexswarm.config import config_overrides, parse_config
+from hexswarm.engine import TRACE_HEADER, run
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def write_scenario(tmp_path: Path, text: str) -> str:
@@ -54,6 +58,22 @@ class TestSingleRun:
         main(["--scenario", scenario, "--out", str(out)])
         names = {p.name for p in out.iterdir()}
         assert names == {"trace.csv", "summary.json", "tracker.csv"}
+
+    def test_tracker_holds_about_the_bytes_of_tracker_csv(self):
+        """A dense run's tracker is its largest object; it must cost about one
+        byte per byte of tracker.csv, not a Python object per delivery."""
+        text = (REPO / "perfbench/scenarios/dense.cfg").read_text()
+        cfg = config_overrides(parse_config(text), controller="aco", seed=1, max_ticks=100)
+        tracemalloc.start()
+        try:
+            result = run(cfg)
+            size = len(tracker_csv(result))
+            held = tracemalloc.get_traced_memory()[0]
+            result.state.tracker = None
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert 0.9 * size < freed <= 1.5 * size  # the lower bound: the tracker was dropped
 
 
 class TestOverrideLayers:

@@ -3,6 +3,8 @@ oracle, duplicate suppression, and connectivity components. The neighbor
 index and flooding to quiescence are held to their references,
 ``comm_neighbors`` and rounds of ``flood_round``."""
 
+import csv
+import io
 import random
 import time
 from collections import deque
@@ -279,16 +281,16 @@ def flood_by_rounds(positions, boxes, comm_range, tracker, tick):
 
 
 @st.composite
-def flood_cases(draw):
+def flood_cases(draw, ids=st.integers(0, 60), seqs=st.integers(0, 9)):
     """Robots packed densely enough for many ties between relays, and 1-4
     origins each freshly sending 1-3 messages with distinct seqs."""
     cells = st.builds(HexCoord, st.integers(-4, 4), st.integers(-4, 4))
-    positions = draw(st.dictionaries(st.integers(0, 60), cells, min_size=2, max_size=16))
+    positions = draw(st.dictionaries(ids, cells, min_size=2, max_size=16))
     comm_range = draw(st.integers(1, 3))
     origins = st.lists(st.sampled_from(sorted(positions)), min_size=1, max_size=4, unique=True)
     sends = []
     for origin in draw(origins):
-        for seq in draw(st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True)):
+        for seq in draw(st.lists(seqs, min_size=1, max_size=3, unique=True)):
             sends.append(Message(origin, seq, POSITION_REPORT, None, draw(st.integers(0, 5))))
     return positions, comm_range, sends
 
@@ -320,6 +322,27 @@ class TestFloodUntilQuiet:
         for origin, got in reach.items():
             widest = max((m for m in sends if m.origin == origin), key=lambda m: m.ttl)
             assert got == delivered_to(boxes, widest.msg_id)
+
+    @PROPERTY
+    @given(
+        flood_cases(ids=st.integers(0, 10**6), seqs=st.integers(0, 10**6)),
+        st.integers(0, 10**6),
+    )
+    def test_tracker_text_is_the_csv_of_its_entries(self, case, tick):
+        """entries parse with int(), which forgives a stray space or carriage
+        return; the text itself must be what csv.writer makes of them."""
+        positions, comm_range, sends = case
+        fresh = TrackerLog()
+        flood_fresh(positions, comm_range, sends, fresh, tick)
+        boxes = new_mailboxes(positions)
+        for message in sends:
+            send(boxes, message.origin, message)
+        rounds = TrackerLog()
+        flood_by_rounds(positions, boxes, comm_range, rounds, tick)
+        for tracker in (fresh, rounds):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(tracker.entries)
+            assert "".join(tracker.parts) == buf.getvalue()
 
     @PROPERTY
     @given(
