@@ -26,11 +26,15 @@ EXIT_USAGE = 1
 
 def write_atomic(path: Path, data: str) -> None:
     """Write via a temp file in the same directory plus rename, so a killed
-    run never leaves a partial file under the final name."""
+    run never leaves a partial file under the final name. The file gets the
+    mode open() would give it, 0o666 less the umask, not mkstemp's 0o600."""
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(data)
+        umask = os.umask(0)  # the only way to read it is to set it
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -333,6 +333,8 @@ def tick(state: SimState) -> None:
     for rid in live:
         robot = state.robots[rid]
         obs = observations[rid]
+        # One stream per decision, dropped once the controller returns, so a
+        # controller may leave draws unmade (the GA stops at its answer).
         rng = derive_rng(state.rng_root, "decide", t, rid)
         if cfg.controller == "ga":
             move = decide_move_ga(obs, state.world, cfg.ga, rng)

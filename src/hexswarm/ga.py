@@ -140,6 +140,13 @@ _DIRECTION_PART = [g - g % 3 for g in range(18)]
 _SPEED_PART = [g % 3 for g in range(18)]
 
 
+def _gene_move(g: int, obs: Observation, w: World) -> Move:
+    """Gene g as a move, speed truncated to its feasible prefix."""
+    d, s = divmod(g, 3)
+    direction = Direction(d)
+    return Move(direction, walk(w, obs.situation, direction, s)[1])
+
+
 def decide_move_ga(
     obs: Observation,
     w: World,
@@ -156,6 +163,12 @@ def decide_move_ga(
     over genes g = direction * 3 + speed, the indices of fitness_table, and
     returns the fittest gene as a move, speed truncated to its feasible
     prefix.
+
+    That gene is the first one drawn, in draw order, whose fitness is the
+    table's maximum: elitism keeps it at index 0 from then on and nothing
+    can score higher. So the loop stops at that gene, in the initial
+    population or after the generation that drew it, and draws nothing
+    more; generation_log gets the maximum for each generation not run.
     """
     if obs.best_known_target_distance is None and not obs.neighbor_headings:
         pairs = feasible_moves(w, obs.situation)
@@ -180,13 +193,21 @@ def decide_move_ga(
     mut_prob = params.mutation_prob
     dpart = _DIRECTION_PART
     spart = _SPEED_PART
-    pop = [floor(r() * 6) * 3 + floor(r() * 3) for _ in range(size)]
+    peak = max(table)
+    pop = []
+    for _ in range(size):
+        g = floor(r() * 6) * 3 + floor(r() * 3)
+        if table[g] == peak:
+            if generation_log is not None:
+                generation_log.extend([peak] * (params.generations + 1))
+            return _gene_move(g, obs, w)
+        pop.append(g)
     fits = list(map(table.__getitem__, pop))
     top = max(fits)
     if generation_log is not None:
         generation_log.append(top)
 
-    for _ in range(params.generations):
+    for left in reversed(range(params.generations)):  # generations after this one
         new_pop = [pop[fits.index(top)]]
         append = new_pop.append
         for j in range(1, size, 2):
@@ -230,7 +251,9 @@ def decide_move_ga(
         top = max(fits)
         if generation_log is not None:
             generation_log.append(top)
+        if top == peak:
+            if generation_log is not None:
+                generation_log.extend([peak] * left)
+            break
 
-    d, s = divmod(pop[fits.index(top)], 3)
-    direction = Direction(d)
-    return Move(direction, walk(w, obs.situation, direction, s)[1])
+    return _gene_move(pop[fits.index(top)], obs, w)

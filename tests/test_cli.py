@@ -1,6 +1,8 @@
 """CLI tests: flag layering, output files, batch mode, and exit statuses."""
 
 import json
+import os
+import stat
 import tracemalloc
 from pathlib import Path
 
@@ -58,6 +60,19 @@ class TestSingleRun:
         main(["--scenario", scenario, "--out", str(out)])
         names = {p.name for p in out.iterdir()}
         assert names == {"trace.csv", "summary.json", "tracker.csv"}
+
+    def test_output_files_take_the_umask_mode(self, tmp_path):
+        scenario = write_scenario(tmp_path, SMALL + "controller = aco\n")
+        out = tmp_path / "modes"
+        old = os.umask(0o022)
+        try:
+            main(["--scenario", scenario, "--out", str(out)])
+        finally:
+            os.umask(old)
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert modes == dict.fromkeys(
+            ("trace.csv", "summary.json", "tracker.csv", "field.csv"), 0o644
+        )
 
     def test_tracker_holds_about_the_bytes_of_tracker_csv(self):
         """A dense run's tracker is its largest object; it must cost about one

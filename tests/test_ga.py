@@ -13,6 +13,7 @@ from hexswarm.ga import (
     decide_move_ga,
     feasible_moves,
     fitness,
+    fitness_table,
     mutate,
     tournament_select,
 )
@@ -318,6 +319,9 @@ def test_inlined_loop_draws_like_the_public_operators():
     w = world_with_target(HexCoord(2, -1), radius=6, margin=1)
     cells = list(accessible_cells(w))
     rng = random.Random(2011)
+    # decide_move_ga stops at the table's maximum: in the initial population,
+    # after a later generation, or never. The inputs must reach all three.
+    exits = {"initial": 0, "later": 0, "never": 0}
     for trial in range(1000):
         headings = [
             (Direction(rng.randrange(6)), rng.randrange(1, 3)) for _ in range(rng.randrange(5))
@@ -339,3 +343,31 @@ def test_inlined_loop_draws_like_the_public_operators():
         got = decide_move_ga(obs, w, params, random.Random(seed), generation_log=got_log)
         want = evolve_with_operators(obs, w, params, random.Random(seed), want_log)
         assert (got, got_log) == (want, want_log), trial
+        peak = max(fitness_table(obs, w, params))
+        exits["initial" if want_log[0] == peak else "later" if peak in want_log else "never"] += 1
+    assert min(exits.values()) > 0, exits
+
+
+class CountingRandom(random.Random):
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return super().random()
+
+
+def test_first_gene_at_the_maximum_ends_the_decision():
+    """With every gene tied, the first gene drawn is the answer: two draws,
+    and the same move and log as the full loop."""
+    w = world_with_target(HexCoord(2, -1), radius=6, margin=1)
+    headings = [(Direction.E, 1), (Direction.W, 2)]
+    obs = Observation(HexCoord(0, 0), len(headings), None, headings)
+    params = GaParams(alignment_weight=0.0)
+    rng = CountingRandom(5)
+    got_log, want_log = [], []
+    got = decide_move_ga(obs, w, params, rng, generation_log=got_log)
+    want = evolve_with_operators(obs, w, params, random.Random(5), want_log)
+    assert rng.draws == 2
+    assert (got, got_log) == (want, want_log)

@@ -106,3 +106,34 @@ def test_outputs_match_recorded_digests(tmp_path, scenario, flags):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())
     }
     assert (code, digests) == GOLDEN[(scenario, flags)]
+
+
+# Recorded at commit 4ae4bb926e47cbaa2e9a7bc6d60c487adf3cdf32, before the GA
+# stopped at its first gene with the fitness table's maximum. A small
+# population, many generations, wide tournaments and heavy mutation make
+# robots reach that maximum in a later generation, or never, so an early
+# return at the wrong point changes the bytes.
+GA_PARAMS_SCENARIO = """\
+controller = ga
+
+[ga]
+population = 4
+generations = 20
+tournament_k = 3
+mutation_prob = 0.5
+alignment_weight = 1.0
+"""
+GA_PARAMS_GOLDEN = (2, {
+    "summary.json": "8f69f4c62e251080ee0f58690247e3ed6002617b840f52a885013d6a967165b3",
+    "trace.csv": "dbc82f4ef89ad5513813d948ee1e835ecf0244140e80f435922cd745551df232",
+    "tracker.csv": "9502b8f90015f133f741c674540a408643f5208acd90087a709920fa629cbb90",
+})
+
+
+def test_non_default_ga_params_match_recorded_digests(tmp_path):
+    scenario = tmp_path / "ga_params.cfg"
+    scenario.write_text(GA_PARAMS_SCENARIO)
+    out = tmp_path / "out"
+    code = main(["--scenario", str(scenario), "--seed", "1", "--out", str(out)])
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert (code, digests) == GA_PARAMS_GOLDEN
