@@ -15,13 +15,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .hexworld import (
+    TARGET_DISTANCE,
     Direction,
     HexCoord,
     Move,
     Observation,
     World,
     accessible_neighbors,
-    hex_distance,
 )
 
 PRUNE_LEVEL = 1e-9
@@ -53,16 +53,11 @@ class PheromoneField:
     def total(self) -> float:
         return sum(self.levels.values())
 
-    def deposit(
-        self, w: World, cell: HexCoord, known_target_distance: Optional[int] = None
-    ) -> "PheromoneField":
-        """Add Q / (1 + d) at cell, or the floor amount when d is unknown."""
+    def deposit(self, w: World, cell: HexCoord, known_target_distance: int) -> "PheromoneField":
+        """Add Q / (1 + d) at cell."""
         if not w.accessible(cell):
             raise ValueError(f"deposit on inaccessible cell {tuple(cell)}")
-        if known_target_distance is not None:
-            amount = self.params.deposit_scale / (1 + known_target_distance)
-        else:
-            amount = self.params.floor
+        amount = self.params.deposit_scale / (1 + known_target_distance)
         self.levels[cell] = self.levels.get(cell, 0.0) + amount
         return self
 
@@ -94,10 +89,11 @@ def transition_probs(
     if not neighbors:
         raise DeadEndError(f"no accessible neighbor at {tuple(c)}")
     known = obs.best_known_target_distance is not None
+    geometry = w.geometry
     weights = []
     for d, n in neighbors:
         tau = pher.level(n) + params.floor
-        eta = 1.0 / (1 + hex_distance(n, w.target)) if known else 1.0
+        eta = 1.0 / (1 + geometry[n][TARGET_DISTANCE]) if known else 1.0
         weights.append((d, tau**params.alpha * eta**params.beta))
     total = sum(wt for _, wt in weights)
     if total <= 0.0:

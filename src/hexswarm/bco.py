@@ -12,13 +12,12 @@ from enum import Enum
 from typing import Optional
 
 from .hexworld import (
+    TARGET_DISTANCE,
     Direction,
     Move,
     Observation,
     World,
     accessible_neighbors,
-    hex_distance,
-    step,
 )
 
 
@@ -96,16 +95,18 @@ def decide_move_bco(
         neighbors = accessible_neighbors(w, obs.situation)
         if not neighbors:
             return Move(prev_heading, 0)
-        d, _ = min(neighbors, key=lambda dn: (hex_distance(dn[1], w.target), dn[0]))
+        geometry = w.geometry
+        d, _ = min(neighbors, key=lambda dn: (geometry[dn[1]][TARGET_DISTANCE], dn[0]))
         return Move(d, 1)
     task = choose_task(board, params, rng)
+    row = w.geometry[obs.situation]
     if task is Task.FOLLOW:
         assert board is not None
-        if w.accessible(step(obs.situation, board.advertised_direction)):
+        if row[board.advertised_direction] is not None:
             return Move(board.advertised_direction, 1)
         return _scout_move(w, obs, rng)
     if task is Task.CONTINUE:
-        if w.accessible(step(obs.situation, prev_heading)):
+        if row[prev_heading] is not None:
             return Move(prev_heading, 1)
         return _scout_move(w, obs, rng)
     return _scout_move(w, obs, rng)

@@ -15,6 +15,7 @@ adding observers never perturbs behavior.
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import random
 import statistics
@@ -41,7 +42,7 @@ from .comms import (
 )
 from .config import ScenarioConfig
 from .ga import decide_move_ga
-from .hexworld import Direction, HexCoord, Observation, World, hex_distance, make_world, step
+from .hexworld import TARGET_DISTANCE, Direction, HexCoord, Observation, World, make_world
 
 STATUS_SUCCESS = "success"
 STATUS_TIMEOUT = "timeout"
@@ -66,10 +67,15 @@ ARRIVAL_DISTANCE = 1  # on or adjacent to the target counts as arrived
 
 
 def derive_rng(root_seed: int, *labels) -> random.Random:
-    """Independent deterministic stream for (root_seed, labels)."""
+    """Independent deterministic stream for (root_seed, labels): the same
+    object as random.Random(seed), built without random.py's Python-level
+    wrappers (Random.__new__ does not seed; gauss_next is all they set)."""
     key = repr((root_seed, labels)).encode("utf-8")
     seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
-    return random.Random(seed)
+    rng = random.Random.__new__(random.Random)
+    _random.Random.seed(rng, seed)
+    rng.gauss_next = None
+    return rng
 
 
 @dataclass
@@ -177,14 +183,15 @@ def resolve_conflicts(
     keyed = [(rng.random(), it.robot_id, it) for it in ordered]
     keyed.sort(key=lambda k: (k[0], k[1]))
     occ = state.world.occupancy
+    geometry = state.world.geometry
     executed = []
     for _, _, intent in keyed:
         robot = state.robots[intent.robot_id]
         pos = robot.pos
         steps = 0
         for _ in range(intent.speed):
-            nxt = step(pos, intent.direction)
-            if not state.world.accessible(nxt) or nxt in occ:
+            nxt = geometry[pos][intent.direction]
+            if nxt is None or nxt in occ:
                 break
             del occ[pos]
             occ[nxt] = intent.robot_id
@@ -205,6 +212,7 @@ def _emit_reports(state: SimState, live: list[int]) -> dict[int, list[Message]]:
     messages (position report, target report when sensing, dance advert for
     the BCO leader)."""
     cfg = state.config
+    geometry = state.world.geometry
     outbox = {}
     for rid in live:
         robot = state.robots[rid]
@@ -217,7 +225,7 @@ def _emit_reports(state: SimState, live: list[int]) -> dict[int, list[Message]]:
                 cfg.ttl,
             )
         ]
-        own_d = hex_distance(robot.pos, state.world.target)
+        own_d = geometry[robot.pos][TARGET_DISTANCE]
         if own_d <= cfg.sensing_radius:
             if robot.known_target_distance is None or own_d < robot.known_target_distance:
                 robot.known_target_distance = own_d
@@ -366,10 +374,11 @@ def tick(state: SimState) -> None:
     )
     comp_size = {rid: len(comp) for comp in components for rid in comp}
     leader_id = state.board.leader if state.board else ""
+    geometry = state.world.geometry
     distances = [0] * state.arrived_count()  # arrived on earlier ticks
     for rid in live:
         robot = state.robots[rid]
-        d = hex_distance(robot.pos, state.world.target)
+        d = geometry[robot.pos][TARGET_DISTANCE]
         state.trace.append(
             (
                 t,

@@ -14,14 +14,13 @@ from math import floor
 from typing import NamedTuple, Optional
 
 from .hexworld import (
-    DIRECTION_OFFSETS,
     DIRECTIONS,
+    TARGET_DISTANCE,
     Direction,
     HexCoord,
     Move,
     Observation,
     World,
-    hex_distance,
     walk,
 )
 
@@ -54,15 +53,21 @@ def fitness_table(obs: Observation, w: World, params: GaParams) -> list[float]:
     counts = [0] * 6
     for d, _ in heads:
         counts[d] += 1
+    geometry = w.geometry
+    here = geometry[obs.situation]
     table = []
     for d in DIRECTIONS:
         bonus = weight * counts[d] / len(heads) if heads else 0.0
-        for s in SPEEDS:
-            if known is None:
-                table.append(bonus)
-            else:
-                land, _ = walk(w, obs.situation, d, s)
-                table.append(known - hex_distance(land, w.target) + bonus)
+        if known is None:
+            table += (bonus, bonus, bonus)
+            continue
+        row = here  # the landing cell's row, walked out one speed at a time
+        table.append(known - row[TARGET_DISTANCE] + bonus)
+        for _ in SPEEDS[1:]:
+            nxt = row[d]
+            if nxt is not None:
+                row = geometry[nxt]
+            table.append(known - row[TARGET_DISTANCE] + bonus)
     return table
 
 
@@ -122,14 +127,13 @@ def feasible_moves(w: World, start: HexCoord) -> list[tuple[Direction, int]]:
     """(direction, speed) pairs whose full path stays accessible; speed-0
     pairs are always included. Each direction is walked out one cell at a
     time and stops at its first inaccessible cell."""
-    accessible = w.accessible
-    q, r = start
+    geometry = w.geometry
     out = []
-    for d, (dq, dr) in zip(DIRECTIONS, DIRECTION_OFFSETS):
+    for d, n in zip(DIRECTIONS, geometry[start]):  # the six neighbours
         out.append((d, 0))
-        if accessible(HexCoord(q + dq, r + dr)):
+        if n is not None:
             out.append((d, 1))
-            if accessible(HexCoord(q + 2 * dq, r + 2 * dr)):
+            if geometry[n][d] is not None:
                 out.append((d, 2))
     return out
 

@@ -5,10 +5,14 @@ Cells are addressed with axial (q, r) integer pairs. The board is a hexagon
 of a given radius centered on the origin; cells whose distance from the
 origin exceeds ``radius - margin`` are inaccessible, which keeps robots away
 from the rim.
+
+A world's geometry is fixed, so every step, neighbour list and distance to
+the target is read from one per-world table, ``World.geometry``.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterator, NamedTuple, Optional
@@ -85,13 +89,48 @@ def step(c: HexCoord, d: Direction) -> HexCoord:
     return HexCoord(c.q + dq, c.r + dr)
 
 
+# Index of the target distance in a geometry row, after the six neighbours.
+TARGET_DISTANCE = 6
+
+
+class Geometry(dict):
+    """A world's cell -> row table, filled on first lookup of each cell.
+
+    The row is a 7-tuple: the six neighbours in Direction order, each None
+    when ``world.accessible`` rejects it, then the cell's distance to the
+    target. Rows are filled through ``world.accessible``, so a world that
+    overrides it gets its own geometry. Every cell is kept as one shared
+    HexCoord, so a row holds six references, not six new cells.
+    """
+
+    def __init__(self, world: "World"):
+        super().__init__()
+        # A proxy, not a reference: with no cycle, a dropped world and its
+        # table are freed at once, not at the next cyclic collection.
+        self.world = weakref.proxy(world)
+        self.cells: dict[HexCoord, HexCoord] = {}
+
+    def __missing__(self, c: HexCoord) -> tuple:
+        accessible = self.world.accessible
+        cells = self.cells
+        q, r = c
+        row = []
+        for dq, dr in DIRECTION_OFFSETS:  # step(c, d) for each d, inlined
+            n = HexCoord(q + dq, r + dr)
+            row.append(cells.setdefault(n, n) if accessible(n) else None)
+        row.append(hex_distance(c, self.world.target))
+        row = self[cells.setdefault(c, c)] = tuple(row)
+        return row
+
+
 @dataclass
 class World:
     """Hexagonal board of the given radius with an inaccessible marginal ring.
 
     Cells exist at hex distance <= radius from the origin; cells beyond
     radius - margin are inaccessible. Occupancy maps cell -> robot id and
-    holds at most one robot per cell.
+    holds at most one robot per cell. Geometry is the cell -> row table,
+    empty until the run looks a cell up; the target is fixed once it fills.
     """
 
     radius: int
@@ -99,6 +138,10 @@ class World:
     target: HexCoord
     entry: HexCoord
     occupancy: dict[HexCoord, int] = field(default_factory=dict)
+    geometry: Geometry = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self.geometry = Geometry(self)
 
     def accessible(self, c: HexCoord) -> bool:
         q, r = c  # max(|q|, |r|, |q + r|) is the hex distance from the origin
@@ -112,10 +155,11 @@ class World:
 def walk(w: World, start: HexCoord, direction: Direction, speed: int) -> tuple[HexCoord, int]:
     """Take unit steps until speed is spent or the next cell is inaccessible;
     returns the landing cell and the number of steps taken."""
+    geometry = w.geometry
     cell = start
     for taken in range(speed):
-        nxt = step(cell, direction)
-        if not w.accessible(nxt):
+        nxt = geometry[cell][direction]
+        if nxt is None:
             return cell, taken
         cell = nxt
     return cell, speed
@@ -131,12 +175,8 @@ def accessible_cells(w: World) -> Iterator[HexCoord]:
 
 def accessible_neighbors(w: World, c: HexCoord) -> list[tuple[Direction, HexCoord]]:
     """The accessible subset of c's six neighbors, in ascending direction order."""
-    out = []
-    for d in DIRECTIONS:
-        n = step(c, d)
-        if w.accessible(n):
-            out.append((d, n))
-    return out
+    # zip stops after the six neighbours, before the row's target distance
+    return [(d, n) for d, n in zip(DIRECTIONS, w.geometry[c]) if n is not None]
 
 
 def make_world(radius: int, margin: int, target: HexCoord, entry: HexCoord) -> World:

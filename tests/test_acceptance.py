@@ -141,7 +141,7 @@ def test_criterion_05_aco_probability_and_evaporation_laws():
         for _ in range(rng.randrange(10)):
             c = HexCoord(rng.randint(-6, 6), rng.randint(-6, 6))
             if w.accessible(c):
-                field.deposit(w, c, rng.choice((None, 0, 1, 3, 8)))
+                field.deposit(w, c, rng.choice((99, 0, 1, 3, 8)))
         obs = Observation(
             situation=cell,
             degree=0,

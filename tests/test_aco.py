@@ -42,12 +42,6 @@ class TestDeposit:
         f.deposit(w, HexCoord(0, 0), 4)
         assert f.level(HexCoord(0, 0)) == pytest.approx(0.2)
 
-    def test_unknown_distance_deposits_floor(self):
-        w = small_world()
-        f = PheromoneField()
-        f.deposit(w, HexCoord(0, 0), None)
-        assert f.level(HexCoord(0, 0)) == pytest.approx(0.01)
-
     def test_inaccessible_cell_is_a_usage_error(self):
         w = small_world()
         f = PheromoneField()
@@ -112,7 +106,7 @@ class TestEvaporate:
         cells = [c for c in (HexCoord(q, r) for q in range(-2, 3) for r in range(-2, 3)) if w.accessible(c)]
         for _ in range(2000):
             if rng.random() < 0.6:
-                f.deposit(w, rng.choice(cells), rng.choice((None, 0, 1, 4, 9)))
+                f.deposit(w, rng.choice(cells), rng.choice((99, 0, 1, 4, 9)))
             else:
                 f.evaporate(rng.uniform(0.01, 0.9))
             assert all(v >= 0 for v in f.levels.values())
@@ -164,7 +158,7 @@ class TestTransitionProbs:
             for _ in range(rng.randrange(12)):
                 cell = HexCoord(rng.randint(-4, 4), rng.randint(-4, 4))
                 if w.accessible(cell):
-                    f.deposit(w, cell, rng.choice((None, 0, 2, 7)))
+                    f.deposit(w, cell, rng.choice((99, 0, 2, 7)))
             cell = HexCoord(rng.randint(-4, 4), rng.randint(-4, 4))
             if not w.accessible(cell):
                 continue

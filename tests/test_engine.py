@@ -1,6 +1,7 @@
 """Engine tests: spawning through the entry cell, conflict resolution,
 the tick phase contract, run termination, determinism, and invariants."""
 
+import hashlib
 import os
 import random
 import subprocess
@@ -37,7 +38,32 @@ def cfg_text(**kv):
     return "\n".join(lines)
 
 
+def reference_derive_rng(root_seed, *labels):
+    """derive_rng as first defined, through random.Random's constructor."""
+    key = repr((root_seed, labels)).encode("utf-8")
+    seed = int.from_bytes(hashlib.sha256(key).digest()[:8], "big")
+    return random.Random(seed)
+
+
+# The label shapes the engine uses: decide (tick, robot), conflict (tick),
+# spawn (robot).
+stream_labels = st.one_of(
+    st.tuples(st.just("decide"), st.integers(0, 10**6), st.integers(0, 10**4)),
+    st.tuples(st.just("conflict"), st.integers(0, 10**6)),
+    st.tuples(st.just("spawn"), st.integers(0, 10**4)),
+)
+
+
 class TestDeriveRng:
+    @settings(max_examples=300, deadline=None, database=None)
+    @given(st.integers(0, 2**64 - 1), stream_labels)
+    def test_matches_the_constructor_definition(self, root, labels):
+        got = derive_rng(root, *labels)
+        want = reference_derive_rng(root, *labels)
+        assert type(got) is random.Random
+        assert got.getstate() == want.getstate()  # gauss_next included
+        assert [got.random() for _ in range(50)] == [want.random() for _ in range(50)]
+
     def test_same_labels_same_stream(self):
         a = derive_rng(7, "decide", 3, 1)
         b = derive_rng(7, "decide", 3, 1)

@@ -1,14 +1,20 @@
 """Hex geometry tests: the axial metric against a BFS oracle, the offset
-table, accessibility, and world construction."""
+table, accessibility, world construction, and the per-world geometry table
+against its step-by-step definition."""
 
 import random
+import tracemalloc
 from collections import deque
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from hexswarm.ga import SPEEDS, feasible_moves
 from hexswarm.hexworld import (
     DIRECTION_OFFSETS,
     DIRECTIONS,
+    TARGET_DISTANCE,
     Direction,
     HexCoord,
     World,
@@ -18,6 +24,7 @@ from hexswarm.hexworld import (
     hex_distance,
     make_world,
     step,
+    walk,
 )
 
 
@@ -152,3 +159,118 @@ class TestMakeWorld:
     def test_new_world_is_empty(self):
         w = make_world(5, 1, HexCoord(2, 0), HexCoord(-2, 0))
         assert w.occupancy == {}
+
+
+# The geometry table against its definition: each lookup re-derived from
+# step, World.accessible and hex_distance.
+
+
+def row_by_step(w, c):
+    neighbours = tuple(step(c, d) if w.accessible(step(c, d)) else None for d in DIRECTIONS)
+    return neighbours + (hex_distance(c, w.target),)
+
+
+def walk_by_step(w, start, direction, speed):
+    cell = start
+    for taken in range(speed):
+        nxt = step(cell, direction)
+        if not w.accessible(nxt):
+            return cell, taken
+        cell = nxt
+    return cell, speed
+
+
+def neighbors_by_step(w, c):
+    return [(d, step(c, d)) for d in DIRECTIONS if w.accessible(step(c, d))]
+
+
+def feasible_by_walk(w, c):
+    return [(d, s) for d in DIRECTIONS for s in SPEEDS if s == 0 or walk_by_step(w, c, d, s)[1] == s]
+
+
+class HoledWorld(World):
+    """A world that overrides accessible: the board minus a set of holes."""
+
+    def __init__(self, radius, margin, target, holes):
+        super().__init__(radius=radius, margin=margin, target=target, entry=target)
+        self.holes = holes
+
+    def accessible(self, c):
+        return super().accessible(c) and c not in self.holes
+
+
+def disc(radius):
+    return [
+        HexCoord(q, r)
+        for q in range(-radius, radius + 1)
+        for r in range(max(-radius, -q - radius), min(radius, -q + radius) + 1)
+    ]
+
+
+@st.composite
+def worlds(draw):
+    radius = draw(st.integers(1, 7))
+    margin = draw(st.integers(0, radius - 1))
+    target = draw(st.sampled_from(disc(radius - margin)))
+    if not draw(st.booleans()):
+        return World(radius=radius, margin=margin, target=target, entry=target)
+    holes = draw(st.sets(st.sampled_from(disc(radius)), max_size=3 * radius * (radius + 1)))
+    return HoledWorld(radius, margin, target, holes)
+
+
+@st.composite
+def worlds_and_cells(draw):
+    """A world and every cell within two of its rim, on the board and off
+    it, in a drawn order: the table fills in whatever order it is read."""
+    w = draw(worlds())
+    return w, draw(st.permutations(disc(w.radius + 2)))
+
+
+class TestGeometryTable:
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(worlds_and_cells())
+    def test_every_row_matches_step_and_accessible(self, case):
+        w, cells = case
+        for c in cells:
+            assert w.geometry[c] == row_by_step(w, c), c
+            assert w.geometry[c][TARGET_DISTANCE] == hex_distance(c, w.target)
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(worlds_and_cells())
+    def test_rows_share_one_cell_object_per_cell(self, case):
+        w, cells = case
+        for c in cells:
+            for n in w.geometry[c][:TARGET_DISTANCE]:
+                assert n is None or w.geometry.cells[n] is n
+
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(worlds_and_cells())
+    def test_walk_neighbors_and_feasible_moves_match_their_references(self, case):
+        w, cells = case
+        for c in cells:
+            assert accessible_neighbors(w, c) == neighbors_by_step(w, c), c
+            assert feasible_moves(w, c) == feasible_by_walk(w, c), c
+            for d in DIRECTIONS:
+                for speed in range(4):
+                    assert walk(w, c, d, speed) == walk_by_step(w, c, d, speed), (c, d, speed)
+
+    def test_a_new_world_has_an_empty_table(self):
+        w = make_world(30, 1, HexCoord(20, 0), HexCoord(-20, 0))
+        assert len(w.geometry) == 0 and len(w.geometry.cells) == 0
+
+    def test_full_dense_table_stays_under_400_bytes_a_cell(self):
+        # The dense benchmark board. One shared HexCoord per cell and rows of
+        # plain references measure about 240-260 B a cell; a new HexCoord
+        # per row entry measures about 650-750 B.
+        w = make_world(30, 1, HexCoord(20, 0), HexCoord(-20, 0))
+        coords = [tuple(c) for c in accessible_cells(w)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for q, r in coords:  # fresh cells, so keys count towards the table
+                w.geometry[HexCoord(q, r)]
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(w.geometry) == len(coords) == w.accessible_cell_count()
+        assert held / len(coords) < 400
