@@ -18,6 +18,7 @@ from .bco import (
 )
 from .comms import (
     DanceAdvert,
+    DeliveryCount,
     Message,
     PositionReport,
     TargetReport,

@@ -2,6 +2,11 @@
 single run or a batch of consecutive seeds, and write trace/summary/field
 files atomically into the output directory.
 
+trace.csv and tracker.csv are streamed: rows go into temp files tick by tick
+and take their final names only when the run returns, so memory stays flat
+in max_ticks and a failed run leaves neither. A batch writes no tracker.csv
+and so keeps only the count of its deliveries.
+
 Exit statuses: 0 success, 2 timeout, 3 extinction, 1 usage/config error.
 """
 
@@ -14,24 +19,28 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional, TextIO
 
-from .comms import TRACKER_CSV_HEADER
+from .comms import TRACKER_CSV_HEADER, DeliveryCount, TrackerLog
 from .config import ConfigError, ScenarioConfig, config_overrides, parse_config
 from .engine import TRACE_HEADER, RunResult, run
 
 EXIT_USAGE = 1
 
 
-def write_atomic(path: Path, data: str) -> None:
-    """Write via a temp file in the same directory plus rename, so a killed
-    run never leaves a partial file under the final name. The file gets the
-    mode open() would give it, 0o666 less the umask, not mkstemp's 0o600."""
+@contextmanager
+def atomic_file(path: Path) -> Iterator[TextIO]:
+    """A text file written via a temp file in the same directory and renamed
+    to path when the block ends without error, so a failed or killed run
+    never leaves a partial file under the final name; on error the temp file
+    is removed. The file gets the mode open() would give it, 0o666 less the
+    umask, not mkstemp's 0o600."""
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", dir=path.parent)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(data)
+            yield fh
         umask = os.umask(0)  # the only way to read it is to set it
         os.umask(umask)
         os.chmod(tmp, 0o666 & ~umask)
@@ -40,6 +49,38 @@ def write_atomic(path: Path, data: str) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_atomic(path: Path, data: str) -> None:
+    with atomic_file(path) as fh:
+        fh.write(data)
+
+
+class _Stream:
+    """One output csv written as the run goes: ``write`` takes text,
+    ``extend`` rows. Its atomic file is opened on first use and entered in
+    files, which renames it into place when it closes cleanly; so no file is
+    open before the run has built its state."""
+
+    def __init__(self, files: ExitStack, path: Path, header: tuple[str, ...]) -> None:
+        self._open = lambda: files.enter_context(atomic_file(path))
+        self._header = header
+        self._fh: Optional[TextIO] = None
+
+    def open(self) -> TextIO:
+        """The temp file, opened and given its header on the first call."""
+        if self._fh is None:
+            self._fh = self._open()
+            self._rows = csv.writer(self._fh, lineterminator="\n")
+            self._rows.writerow(self._header)
+        return self._fh
+
+    def write(self, text: str) -> None:
+        self.open().write(text)
+
+    def extend(self, rows) -> None:
+        self.open()
+        self._rows.writerows(rows)
 
 
 def _csv_text(header, rows) -> str:
@@ -67,12 +108,22 @@ def field_csv(result: RunResult) -> str:
     return _csv_text(("tick", "q", "r", "level"), rows)
 
 
-def write_run_files(result: RunResult, out_dir: Path, suffix: str = "") -> None:
-    write_atomic(out_dir / f"trace{suffix}.csv", trace_csv(result))
-    if result.state.config.controller == "aco":
+def stream_run(cfg: ScenarioConfig, out_dir: Path, suffix: str = "") -> RunResult:
+    """Run cfg, streaming trace{suffix}.csv and, without a suffix,
+    tracker.csv; then write field{suffix}.csv for aco."""
+    with ExitStack() as files:
+        trace = _Stream(files, out_dir / f"trace{suffix}.csv", TRACE_HEADER)
+        if suffix:
+            tracker, streams = DeliveryCount(), (trace,)
+        else:
+            tracker_file = _Stream(files, out_dir / "tracker.csv", TRACKER_CSV_HEADER)
+            tracker, streams = TrackerLog(tracker_file.write), (trace, tracker_file)
+        result = run(cfg, trace, tracker)
+        for stream in streams:
+            stream.open()  # a run without rows still gets its header
+    if cfg.controller == "aco":
         write_atomic(out_dir / f"field{suffix}.csv", field_csv(result))
-    if not suffix:
-        write_atomic(out_dir / "tracker.csv", tracker_csv(result))
+    return result
 
 
 def _load_scenario(path: Optional[str]) -> ScenarioConfig:
@@ -131,15 +182,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         return EXIT_USAGE
 
     if args.batch is None:
-        result = run(cfg)
-        write_run_files(result, out_dir)
+        result = stream_run(cfg, out_dir)
         write_atomic(out_dir / "summary.json", json.dumps(result.summary) + "\n")
         return result.exit_code
 
     rows = []
     for seed in range(cfg.seed, cfg.seed + args.batch):
-        result = run(config_overrides(cfg, seed=seed))
-        write_run_files(result, out_dir, suffix=f"_{seed}")
+        result = stream_run(config_overrides(cfg, seed=seed), out_dir, suffix=f"_{seed}")
         rows.append(json.dumps(result.summary))
     write_atomic(out_dir / "summary.json", "\n".join(rows) + "\n")
     return 0

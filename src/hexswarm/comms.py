@@ -1,6 +1,6 @@
 """Range-limited ad hoc communication: neighbor discovery, synchronous
-TTL-bounded flooding with duplicate suppression, and a tracker that keeps
-every multi-hop delivery as the text of its tracker.csv row.
+TTL-bounded flooding with duplicate suppression, and trackers of every
+multi-hop delivery.
 
 Flooding runs in synchronous rounds. A robot that received a message at hop
 count h relays it to all comm neighbors, who receive it at hop count h + 1,
@@ -13,8 +13,11 @@ the reference. ``flood_until_quiet`` floods the messages each origin has
 just sent, as rounds run until none delivers would, from one breadth-first
 search per origin: in round h a robot at hop distance h gets the message
 from its least-id neighbor at distance h - 1, so the deliveries of a round
-come in groups per (round, sender), written in the rounds' order (round,
-sender, (origin, seq), relay) as one string of tracker rows per call.
+come in groups per (round, sender), which it hands to the tracker sorted in
+the rounds' order (round, sender, origin, seq), one list per call. The
+tracker decides what to keep: ``DeliveryCount`` only counts them, and
+``TrackerLog`` formats them as tracker.csv rows for its ``write``, which
+keeps them in memory unless it is given a file's.
 Rather than per-robot inboxes, it fills in each origin's reach, the robots
 within its messages' ttl: with one ttl for all, the comm graph's symmetry
 makes them the origins the origin hears. It and ``connectivity_components``
@@ -82,31 +85,50 @@ class TrackEntry(NamedTuple):
 TRACKER_CSV_HEADER = ("tick", "msg_origin", "msg_seq", "relay", "hops")
 
 
-class TrackerLog:
-    """Observation record of every delivery across the ad hoc network, kept
-    as the text of its tracker.csv rows, one string per flood; entries are
-    parsed back only when read."""
+class DeliveryCount:
+    """Tracker that keeps only the number of deliveries."""
 
     def __init__(self) -> None:
-        self.parts: list[str] = []
         self.count = 0
 
-    def extend(self, text: str, count: int) -> None:
-        """Append text holding count rows."""
-        self.parts.append(text)
+    def add_groups(self, tick: int, groups: list, count: int) -> None:
+        """Take one flood's delivery groups, count deliveries in all."""
+        self.count += count
+
+    def __len__(self) -> int:
+        return self.count
+
+
+class TrackerLog(DeliveryCount):
+    """Observation record of every delivery across the ad hoc network, as
+    the text of its tracker.csv rows handed to write, by default kept in
+    parts (one string per flood) and parsed back into entries when read."""
+
+    def __init__(self, write=None) -> None:
+        super().__init__()
+        self.parts: list[str] = []
+        self.write = self.parts.append if write is None else write
+
+    def add_groups(self, tick: int, groups: list, count: int) -> None:
+        """Write one row per relay of the sorted (round, sender, origin,
+        seq, relays) groups, its hops the round."""
+        tails = [f",{hops}\n" for hops in range(groups[-1][0] + 1)] if groups else []
+        lines = []
+        for rnd, _, origin, seq, relays in groups:
+            head = f"{tick},{origin},{seq},"  # a row up to its relay
+            tail = tails[rnd]  # a row from its hops on
+            lines.append(head + (tail + head).join(map(str, relays)) + tail)
+        self.write("".join(lines))
         self.count += count
 
     def record(self, tick: int, msg: Message, relay: int, hops: int) -> None:
-        self.parts.append(f"{tick},{msg.origin},{msg.seq},{relay},{hops}\n")
+        self.write(f"{tick},{msg.origin},{msg.seq},{relay},{hops}\n")
         self.count += 1
 
     @property
     def entries(self) -> list[TrackEntry]:
         lines = "".join(self.parts).splitlines()
         return [TrackEntry._make(map(int, line.split(","))) for line in lines]
-
-    def __len__(self) -> int:
-        return self.count
 
 
 class Delivery(NamedTuple):
@@ -261,7 +283,7 @@ def flood_until_quiet(
     adjacency: dict[int, list[int]],
     outbox: dict[int, list[Message]],
     reach: dict[int, list[int]],
-    tracker: TrackerLog,
+    tracker: DeliveryCount,
     tick: int = 0,
 ) -> int:
     """Flood each origin's freshly sent messages until no round delivers;
@@ -271,33 +293,24 @@ def flood_until_quiet(
     maps an origin to its new messages, seqs distinct. reach[origin] is set
     to the ascending ids of the robots within the largest ttl of the
     origin's messages, the origin excluded. The tracker gets every delivery
-    in the order the rounds of ``flood_round`` would make them.
+    in the order the rounds of ``flood_round`` would make them, as sorted
+    (round, sender, origin, seq, relays) groups.
     """
     robots = sorted(adjacency)  # bit i of a mask stands for robots[i]
     bit = {rid: 1 << i for i, rid in enumerate(robots)}
     masks = {rid: sum([bit[nb] for nb in neighbors]) for rid, neighbors in adjacency.items()}
-    groups = []  # (round, sender, msg_id, head, relays)
-    rounds = 0
+    groups = []
+    total = 0
     for origin, messages in outbox.items():
         depth = max(msg.ttl for msg in messages)
         layers, reach[origin] = _bfs_layers(masks, robots, origin, bit[origin], depth)
-        rounds = max(rounds, len(layers))
         for msg in messages:
-            msg_id = msg.msg_id
-            head = f"{tick},{origin},{msg.seq},"  # a row up to its relay
             for rnd, layer in enumerate(layers[: msg.ttl], 1):
                 for sender, relays in layer:
-                    groups.append((rnd, sender, msg_id, head, relays))
-    groups.sort()  # (round, sender, msg_id) is unique: seqs differ per origin
-
-    tails = [f",{hops}\n" for hops in range(rounds + 1)]  # a row from its hops on
-    lines = []
-    total = 0
-    for rnd, _, _, head, relays in groups:
-        tail = tails[rnd]
-        lines.append(head + (tail + head).join(map(str, relays)) + tail)
-        total += len(relays)
-    tracker.extend("".join(lines), total)
+                    groups.append((rnd, sender, origin, msg.seq, relays))
+                    total += len(relays)
+    groups.sort()  # (round, sender, origin, seq) is unique: seqs differ per origin
+    tracker.add_groups(tick, groups, total)
     return total
 
 

@@ -7,6 +7,12 @@ decisions, conflict resolution, evaporation, then one pass of trace
 recording, arrival retirement and distances. Every phase after spawn reads
 the one live list taken there.
 
+A run hands its records to two sinks as it goes: each tick's trace rows to
+``state.trace`` (``extend``) and each flood's deliveries to ``state.tracker``
+(see ``comms``). Both default to memory, a list and a ``TrackerLog``; a
+caller that passes file-backed sinks to ``run`` keeps memory flat in the
+run's length.
+
 Every random draw comes from a stream derived from the root seed by a
 stable label (per-robot-per-tick decide labels, a per-tick conflict label,
 per-robot spawn labels), so identical configs replay bit-identically and
@@ -29,6 +35,7 @@ from .comms import (
     POSITION_REPORT,
     TARGET_REPORT,
     DanceAdvert,
+    DeliveryCount,
     Message,
     PositionReport,
     TargetReport,
@@ -114,16 +121,13 @@ class SimState:
     rng_root: int
     tick: int = 0
     board: Optional[DanceBoard] = None  # bco only
-    tracker: TrackerLog = field(default_factory=TrackerLog)
+    tracker: DeliveryCount = field(default_factory=TrackerLog)  # delivery sink
     global_pher: Optional[PheromoneField] = None  # observer field, never read by robots
-    visited: set[HexCoord] = field(default_factory=set)
-    trace: list[tuple] = field(default_factory=list)
+    trace: list[tuple] = field(default_factory=list)  # row sink: anything with extend
     median_series: list[float] = field(default_factory=list)
     mean_series: list[float] = field(default_factory=list)
     component_series: list[int] = field(default_factory=list)
     first_arrival_tick: Optional[int] = None
-    last_observations: dict[int, Observation] = field(default_factory=dict)
-    last_intents: dict[int, MoveIntent] = field(default_factory=dict)
 
     def live_ids(self) -> list[int]:
         return sorted(rid for rid, r in self.robots.items() if r.live)
@@ -163,7 +167,6 @@ def spawn_step(state: SimState) -> Optional[int]:
     robot.heading = Direction(derive_rng(state.rng_root, "spawn", rid).randrange(6))
     robot.last_speed = 0
     state.world.occupancy[entry] = rid
-    state.visited.add(entry)
     return rid
 
 
@@ -197,7 +200,6 @@ def resolve_conflicts(
             occ[nxt] = intent.robot_id
             pos = nxt
             steps += 1
-            state.visited.add(nxt)
         robot.pos = pos
         robot.last_speed = steps
         if intent.speed >= 1:
@@ -321,7 +323,6 @@ def tick(state: SimState) -> None:
     flood_until_quiet(adjacency, outbox, reach, state.tracker, t)
 
     observations, heard = _assemble_observations(state, outbox, reach, adjacency)
-    state.last_observations = observations
 
     if cfg.controller == "bco":
         # Only the current leader emits a dance advert, so any robot that
@@ -355,7 +356,6 @@ def tick(state: SimState) -> None:
                 view = heard.get(rid)
             move = decide_move_bco(rid, robot.heading, obs, view, cfg.bco, state.world, rng)
         intents.append(MoveIntent(rid, move.direction, move.speed))
-    state.last_intents = {it.robot_id: it for it in intents}
 
     resolve_conflicts(intents, state, derive_rng(state.rng_root, "conflict", t))
 
@@ -376,10 +376,11 @@ def tick(state: SimState) -> None:
     leader_id = state.board.leader if state.board else ""
     geometry = state.world.geometry
     distances = [0] * state.arrived_count()  # arrived on earlier ticks
+    rows = []
     for rid in live:
         robot = state.robots[rid]
         d = geometry[robot.pos][TARGET_DISTANCE]
-        state.trace.append(
+        rows.append(
             (
                 t,
                 rid,
@@ -401,6 +402,7 @@ def tick(state: SimState) -> None:
                 state.first_arrival_tick = t
             d = 0
         distances.append(d)
+    state.trace.extend(rows)
     state.median_series.append(float(statistics.median(distances)) if distances else None)
     state.mean_series.append(statistics.fmean(distances) if distances else None)
     state.component_series.append(max((len(c) for c in components), default=0))
@@ -441,9 +443,15 @@ def build_summary(state: SimState, status: str) -> dict:
     return summary
 
 
-def run(cfg: ScenarioConfig) -> RunResult:
-    """Run a scenario to success, extinction, or the tick limit."""
+def run(cfg: ScenarioConfig, trace=None, tracker: Optional[DeliveryCount] = None) -> RunResult:
+    """Run a scenario to success, extinction, or the tick limit, handing
+    trace rows and deliveries to the given sinks (by default a list and a
+    ``TrackerLog``)."""
     state = init_state(cfg)
+    if trace is not None:
+        state.trace = trace
+    if tracker is not None:
+        state.tracker = tracker
     status = STATUS_TIMEOUT
     while state.tick < cfg.max_ticks:
         tick(state)

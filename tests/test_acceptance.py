@@ -15,6 +15,7 @@ from hexswarm.bco import BcoParams, DanceBoard, Task, choose_task, elect_leader
 from hexswarm.cli import trace_csv
 from hexswarm.comms import TrackerLog, comm_neighbors, flood_until_quiet, neighbor_index
 from hexswarm.comms import Message, POSITION_REPORT
+from hexswarm import engine
 from hexswarm.config import parse_config
 from hexswarm.engine import (
     MoveIntent,
@@ -46,6 +47,38 @@ def series_at(series, idx):
 
 def controller_cfg(controller, seed, extra=""):
     return parse_config(f"controller = {controller}\nseed = {seed}\n{extra}")
+
+
+def visited_cells(state):
+    """Every cell a robot stood on: the entry, and each trace row's walk of
+    speed steps along its heading, traced back from where it ended."""
+    cells = {state.world.entry}
+    for row in state.trace:
+        pos, back = HexCoord(row[2], row[3]), Direction((row[4] + 3) % 6)
+        for _ in range(row[5]):
+            cells.add(pos)
+            pos = step(pos, back)
+    return cells
+
+
+def capture_last_tick(monkeypatch):
+    """{id(state): (observations, intents by robot id)} of each state's last
+    tick, recorded by wrapping the engine phases that receive them."""
+    last = {}
+    assemble, resolve = engine._assemble_observations, engine.resolve_conflicts
+
+    def assemble_and_keep(state, *args):
+        observations, heard = assemble(state, *args)
+        last[id(state)] = (observations, {})
+        return observations, heard
+
+    def keep_and_resolve(intents, state, rng):
+        last[id(state)][1].update((it.robot_id, it) for it in intents)
+        return resolve(intents, state, rng)
+
+    monkeypatch.setattr(engine, "_assemble_observations", assemble_and_keep)
+    monkeypatch.setattr(engine, "resolve_conflicts", keep_and_resolve)
+    return last
 
 
 @pytest.fixture(scope="module")
@@ -173,7 +206,7 @@ def test_criterion_06_aco_trail_formation():
             tick(state)
         if state.first_arrival_tick is None:
             continue
-        visited = {c for c in state.visited if state.world.accessible(c)}
+        visited = {c for c in visited_cells(state) if state.world.accessible(c)}
         unvisited = [c for c in accessible_cells(state.world) if c not in visited]
         mean_visited = sum(state.global_pher.level(c) for c in visited) / len(visited)
         mean_unvisited = (
@@ -221,7 +254,8 @@ def test_criterion_07_bco_task_distribution():
     print("ACCEPTANCE  7 BCO task distribution (5 settings): PASS")
 
 
-def test_criterion_08_bco_leader_failover():
+def test_criterion_08_bco_leader_failover(monkeypatch):
+    last = capture_last_tick(monkeypatch)
     timeout = BcoParams().leader_timeout
     arrivals = 0
     for seed in SEEDS:
@@ -236,6 +270,7 @@ def test_criterion_08_bco_leader_failover():
         while state.tick < cfg.max_ticks:
             tick(state)
             t = state.tick - 1
+            observations = last[id(state)][0]
             if t == 100:
                 # the engine replaced the dead leader this very tick, using
                 # the argmin-distance / lowest-id rule on live observations
@@ -245,7 +280,7 @@ def test_criterion_08_bco_leader_failover():
                 assert elected != doomed or not state.robots[doomed].live
 
                 def rank(rid):
-                    d = state.last_observations[rid].best_known_target_distance
+                    d = observations[rid].best_known_target_distance
                     return (float("inf") if d is None else d, rid)
 
                 assert elected == min(state.live_ids(), key=rank)
@@ -253,9 +288,7 @@ def test_criterion_08_bco_leader_failover():
                 assert state.board is not None
                 assert state.robots[state.board.leader].live
                 live = {rid: state.robots[rid].heading for rid in state.live_ids()}
-                fixed_point = elect_leader(
-                    live, state.last_observations, t, state.board, cfg.bco
-                )
+                fixed_point = elect_leader(live, observations, t, state.board, cfg.bco)
                 assert fixed_point == state.board
             if not state.live_ids() and not state.pending_spawn:
                 break
@@ -346,7 +379,8 @@ def _locality_state(controller, robot_count):
     return state
 
 
-def test_criterion_11_sensing_locality():
+def test_criterion_11_sensing_locality(monkeypatch):
+    last = capture_last_tick(monkeypatch)
     for controller in ("ga", "aco", "bco"):
         with_extra = _locality_state(controller, 5)
         without = _locality_state(controller, 4)
@@ -354,8 +388,8 @@ def test_criterion_11_sensing_locality():
             tick(with_extra)
             tick(without)
             for rid in range(4):
-                a = with_extra.last_intents.get(rid)
-                b = without.last_intents.get(rid)
+                a = last[id(with_extra)][1].get(rid)
+                b = last[id(without)][1].get(rid)
                 assert (a is None) == (b is None)
                 if a is not None:
                     assert (a.direction, a.speed) == (b.direction, b.speed), (

@@ -5,10 +5,18 @@ from pathlib import Path
 from typing import get_type_hints
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hexswarm.aco import AcoParams
 from hexswarm.bco import BcoParams
-from hexswarm.config import ConfigError, ScenarioConfig, config_overrides, parse_config
+from hexswarm.config import (
+    CONTROLLERS,
+    ConfigError,
+    ScenarioConfig,
+    config_overrides,
+    parse_config,
+)
 from hexswarm.ga import GaParams
 from hexswarm.hexworld import HexCoord
 
@@ -193,3 +201,90 @@ class TestOverrides:
             assert other.aco.alpha == 1.0
             assert other.bco.scout_prob == 0.1
             assert other.removals == [(5, 0)]
+
+
+def finite(lo, hi, **kwargs):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kwargs)
+
+
+@st.composite
+def valid_configs(draw):
+    radius = draw(st.integers(1, 40))
+    margin = draw(st.integers(0, radius - 1))
+    k = radius - margin
+
+    def cell():
+        q = draw(st.integers(-k, k))
+        return HexCoord(q, draw(st.integers(max(-k, -q - k), min(k, -q + k))))
+
+    target, entry = cell(), cell()
+    assume(entry != target)
+    robots = draw(st.integers(1, min(3 * k * (k + 1) + 1, 300)))
+    removal = st.tuples(st.integers(0, 10**6), st.integers(0, robots - 1))
+    population = draw(st.integers(1, 50)) * 2
+    return ScenarioConfig(
+        controller=draw(st.sampled_from(CONTROLLERS)),
+        robots=robots,
+        radius=radius,
+        margin=margin,
+        target=target,
+        entry=entry,
+        seed=draw(st.integers(0, 2**64 - 1)),
+        max_ticks=draw(st.integers(0, 10**6)),
+        comm_range=draw(st.integers(1, 50)),
+        ttl=draw(st.integers(0, 50)),
+        sensing_radius=draw(st.integers(0, 50)),
+        removals=draw(st.lists(removal, max_size=5)),
+        ga=GaParams(
+            population=population,
+            generations=draw(st.integers(1, 50)),
+            tournament_k=draw(st.integers(1, population)),
+            crossover_prob=draw(finite(0.0, 1.0)),
+            mutation_prob=draw(finite(0.0, 1.0)),
+            alignment_weight=draw(finite(0.0, 1e6)),
+        ),
+        aco=AcoParams(
+            evaporation=draw(finite(0.0, 1.0, exclude_min=True, exclude_max=True)),
+            deposit_scale=draw(finite(0.0, 1e6, exclude_min=True)),
+            alpha=draw(finite(0.0, 10.0)),
+            beta=draw(finite(0.0, 10.0)),
+            floor=draw(finite(0.0, 1e6)),
+        ),
+        bco=BcoParams(
+            follow_gain=draw(finite(0.0, 1e6, exclude_min=True)),
+            scout_prob=draw(finite(0.0, 1.0)),
+            leader_timeout=draw(st.integers(1, 1000)),
+        ),
+    )
+
+
+def render(value) -> str:
+    if isinstance(value, HexCoord):
+        return f"{value.q},{value.r}"
+    if isinstance(value, list):
+        return ", ".join(f"{tick}:{rid}" for tick, rid in value)
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def key_lines(params, defaults, write_default) -> list[str]:
+    """A line per key, a key left at its default only where write_default
+    draws True."""
+    return [
+        f"{f.name} = {render(getattr(params, f.name))}"
+        for f in fields(params)
+        if f.name not in CONTROLLERS
+        and (getattr(params, f.name) != getattr(defaults, f.name) or write_default())
+    ]
+
+
+class TestRoundTrip:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(valid_configs(), st.data())
+    def test_written_config_parses_back_equal(self, cfg, data):
+        write_default = lambda: data.draw(st.booleans())  # noqa: E731
+        lines = key_lines(cfg, ScenarioConfig(), write_default)
+        for name in CONTROLLERS:
+            section = key_lines(getattr(cfg, name), getattr(ScenarioConfig(), name), write_default)
+            if section or write_default():
+                lines += ["", f"[{name}]", *section]
+        assert parse_config("\n".join(lines) + "\n") == cfg

@@ -12,7 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from hexswarm.cli import main
+from hexswarm.cli import build_parser, field_csv, main, trace_csv, tracker_csv
+from hexswarm.config import config_overrides, parse_config
+from hexswarm.engine import run
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -108,6 +110,44 @@ def test_outputs_match_recorded_digests(tmp_path, scenario, flags):
     assert (code, digests) == GOLDEN[(scenario, flags)]
 
 
+def in_memory_files(scenario: Path, flags: str) -> dict[str, bytes]:
+    """The csv files of the CLI run (scenario, flags), made by the library's
+    in-memory sinks: every trace row in a list, every delivery in a
+    ``TrackerLog``'s parts."""
+    args = build_parser().parse_args(flags.split())
+    cfg = config_overrides(
+        parse_config(scenario.read_text()),
+        seed=args.seed,
+        controller=args.controller,
+        max_ticks=args.ticks,
+    )
+    files = {}
+    for seed in range(cfg.seed, cfg.seed + (args.batch or 1)):
+        result = run(config_overrides(cfg, seed=seed))
+        suffix = "" if args.batch is None else f"_{seed}"
+        files[f"trace{suffix}.csv"] = trace_csv(result).encode()
+        if cfg.controller == "aco":
+            files[f"field{suffix}.csv"] = field_csv(result).encode()
+        if not suffix:
+            files["tracker.csv"] = tracker_csv(result).encode()
+    return files
+
+
+@pytest.mark.parametrize(
+    "scenario,flags", list(GOLDEN), ids=[f"{s.rsplit('/', 1)[-1]} {f}" for s, f in GOLDEN]
+)
+def test_memory_sinks_match_the_streamed_files(tmp_path, scenario, flags):
+    assert_sinks_agree(tmp_path / "out", REPO / scenario, flags)
+
+
+def assert_sinks_agree(out: Path, scenario: Path, flags: str) -> None:
+    """Adding observers never perturbs behaviour: the CLI's file-backed sinks
+    and the library's in-memory ones hold the same bytes."""
+    main(["--scenario", str(scenario), *flags.split(), "--out", str(out)])
+    streamed = {p.name: p.read_bytes() for p in out.iterdir() if p.suffix == ".csv"}
+    assert streamed == in_memory_files(scenario, flags)
+
+
 # Recorded at commit 4ae4bb926e47cbaa2e9a7bc6d60c487adf3cdf32, before the GA
 # stopped at its first gene with the fitness table's maximum. A small
 # population, many generations, wide tournaments and heavy mutation make
@@ -137,3 +177,9 @@ def test_non_default_ga_params_match_recorded_digests(tmp_path):
     code = main(["--scenario", str(scenario), "--seed", "1", "--out", str(out)])
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
     assert (code, digests) == GA_PARAMS_GOLDEN
+
+
+def test_non_default_ga_params_memory_sinks_match_the_streamed_files(tmp_path):
+    scenario = tmp_path / "ga_params.cfg"
+    scenario.write_text(GA_PARAMS_SCENARIO)
+    assert_sinks_agree(tmp_path / "out", scenario, "--seed 1")
