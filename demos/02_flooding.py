@@ -7,31 +7,38 @@ Usage::
     python demos/02_flooding.py
 """
 
-from hexswarm import HexCoord, Message, TrackerLog, connectivity_components
-from hexswarm.comms import POSITION_REPORT, flood_round, new_mailboxes, send
+from hexswarm import (
+    HexCoord,
+    Message,
+    TrackerLog,
+    connectivity_components,
+    flood_until_quiet,
+    neighbor_masks,
+)
+from hexswarm.comms import POSITION_REPORT
 
 
 def main():
     positions = {rid: HexCoord(rid, 0) for rid in range(8)}
+    masks = neighbor_masks(positions, 1)  # bit i of a mask stands for robot i
     print("8 robots in a line at unit spacing, comm range 1")
-    print("components:", connectivity_components(positions, 1))
+    print("neighbor masks:", {rid: f"{mask:08b}" for rid, mask in masks.items()})
+    print("components:", connectivity_components(masks))
 
     for ttl in (3, 7):
-        boxes = new_mailboxes(positions)
         tracker = TrackerLog()
-        send(boxes, 0, Message(0, 0, POSITION_REPORT, None, ttl))
+        reach = {}
+        outbox = {0: [Message(0, 0, POSITION_REPORT, None, ttl)]}
+        flood_until_quiet(masks, outbox, reach, tracker)
+        entries = tracker.entries
         print(f"\nmessage from robot 0 with ttl {ttl}:")
-        rnd = 0
-        while True:
-            made = flood_round(positions, boxes, 1, tracker, tick=rnd)
-            if made == 0:
-                break
-            rnd += 1
-            reached = sorted(rid for rid, box in boxes.items() if box.delivered)
+        for rnd in range(1, max(e.hops for e in entries) + 1):
+            reached = sorted(e.relay for e in entries if e.hops <= rnd)
             print(f"  after round {rnd}: reached {reached}")
         print(f"  tracker recorded {len(tracker)} deliveries:")
-        for entry in tracker.entries:
+        for entry in entries:
             print(f"    robot {entry.relay} got ({entry.origin},{entry.seq}) at hop {entry.hops}")
+        print(f"  robot 0 reaches {reach[0]}")
 
 
 if __name__ == "__main__":

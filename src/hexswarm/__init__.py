@@ -27,7 +27,7 @@ from .comms import (
     connectivity_components,
     flood_round,
     flood_until_quiet,
-    neighbor_index,
+    neighbor_masks,
 )
 from .config import ConfigError, ScenarioConfig, parse_config
 from .engine import (

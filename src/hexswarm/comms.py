@@ -8,22 +8,24 @@ while h < the message's ttl. Duplicates are dropped on (origin, seq), so a
 robot at hop distance h from the origin receives the message exactly once,
 at hop count h, iff h <= the ttl.
 
+The comm graph is one neighbor bit mask per robot, bit i for robot id i,
+built by ``neighbor_masks`` from a grid of comm_range-wide buckets where
+each robot scans only the 3 x 3 buckets around its own; ``comm_neighbors``
+scans one robot against all others and is the reference.
+
 ``flood_round`` runs one round over mailboxes, re-sends included, and is
 the reference. ``flood_until_quiet`` floods the messages each origin has
-just sent, as rounds run until none delivers would, from one breadth-first
-search per origin: in round h a robot at hop distance h gets the message
-from its least-id neighbor at distance h - 1, so the deliveries of a round
-come in groups per (round, sender), which it hands to the tracker sorted in
-the rounds' order (round, sender, origin, seq), one list per call. The
-tracker decides what to keep: ``DeliveryCount`` only counts them, and
-``TrackerLog`` formats them as tracker.csv rows for its ``write``, which
-keeps them in memory unless it is given a file's.
-Rather than per-robot inboxes, it fills in each origin's reach, the robots
-within its messages' ttl: with one ttl for all, the comm graph's symmetry
-makes them the origins the origin hears. It and ``connectivity_components``
-read neighbors from ``neighbor_index``, a grid of comm_range-wide buckets
-where each robot scans only the 3 x 3 buckets around its own;
-``comm_neighbors`` is the all-pairs reference.
+just sent over the masks, round by round until none delivers: in round h
+each sender, ascending, relays each origin it got at hop h - 1, ascending,
+to the neighbors that lack that origin's messages. So a robot at hop
+distance h gets them from its least-id neighbor at distance h - 1, and
+deliveries come out in the rounds' order (round, sender, origin, seq,
+relay), with nothing to sort. ``DeliveryCount`` only counts deliveries, so
+no row is formatted for it; ``TrackerLog`` hands tracker.csv rows to its
+``write``, which keeps them in memory unless it is given a file's.
+Rather than per-robot inboxes, the flood fills in each origin's reach, the
+robots within its messages' ttl: with one ttl for all, the comm graph's
+symmetry makes them the origins the origin hears.
 """
 
 from __future__ import annotations
@@ -88,11 +90,13 @@ TRACKER_CSV_HEADER = ("tick", "msg_origin", "msg_seq", "relay", "hops")
 class DeliveryCount:
     """Tracker that keeps only the number of deliveries."""
 
+    keeps_rows = False  # a flood formats no rows for it
+
     def __init__(self) -> None:
         self.count = 0
 
-    def add_groups(self, tick: int, groups: list, count: int) -> None:
-        """Take one flood's delivery groups, count deliveries in all."""
+    def add_rows(self, text: str, count: int) -> None:
+        """Take one flood's tracker.csv rows (empty unless keeps_rows) and count."""
         self.count += count
 
     def __len__(self) -> int:
@@ -104,21 +108,15 @@ class TrackerLog(DeliveryCount):
     the text of its tracker.csv rows handed to write, by default kept in
     parts (one string per flood) and parsed back into entries when read."""
 
+    keeps_rows = True
+
     def __init__(self, write=None) -> None:
         super().__init__()
         self.parts: list[str] = []
         self.write = self.parts.append if write is None else write
 
-    def add_groups(self, tick: int, groups: list, count: int) -> None:
-        """Write one row per relay of the sorted (round, sender, origin,
-        seq, relays) groups, its hops the round."""
-        tails = [f",{hops}\n" for hops in range(groups[-1][0] + 1)] if groups else []
-        lines = []
-        for rnd, _, origin, seq, relays in groups:
-            head = f"{tick},{origin},{seq},"  # a row up to its relay
-            tail = tails[rnd]  # a row from its hops on
-            lines.append(head + (tail + head).join(map(str, relays)) + tail)
-        self.write("".join(lines))
+    def add_rows(self, text: str, count: int) -> None:
+        self.write(text)
         self.count += count
 
     def record(self, tick: int, msg: Message, relay: int, hops: int) -> None:
@@ -170,10 +168,9 @@ def comm_neighbors(
     }
 
 
-def neighbor_index(
-    positions: dict[int, HexCoord], comm_range: int
-) -> dict[int, list[int]]:
-    """{rid: ascending ids of the other robots within comm_range} for every robot.
+def neighbor_masks(positions: dict[int, HexCoord], comm_range: int) -> dict[int, int]:
+    """{rid: mask of the other robots within comm_range} for every robot, bit
+    i of a mask standing for robot id i.
 
     Robots are bucketed by (q // comm_range, r // comm_range). A robot within
     comm_range differs by at most comm_range in q and in r, so it lies in one
@@ -184,7 +181,7 @@ def neighbor_index(
     for rid, (q, r) in positions.items():
         buckets.setdefault((q // size, r // size), []).append((rid, q, r))
     reach = 2 * comm_range  # |dq| + |dr| + |dq + dr| is twice the hex distance
-    index: dict[int, list[int]] = {rid: [] for rid in positions}
+    masks = dict.fromkeys(positions, 0)
     for (bq, br), members in buckets.items():
         # Pair each robot with the rest of its bucket and with the four buckets
         # ahead of it; the other four see this one as ahead of them.
@@ -197,11 +194,19 @@ def neighbor_index(
             for other, oq, or_ in members[i + 1 :] + ahead:
                 dq, dr = q - oq, r - or_
                 if abs(dq) + abs(dr) + abs(dq + dr) <= reach:
-                    index[rid].append(other)
-                    index[other].append(rid)
-    for neighbors in index.values():
-        neighbors.sort()
-    return index
+                    masks[rid] |= 1 << other
+                    masks[other] |= 1 << rid
+    return masks
+
+
+def ids_of(mask: int) -> list[int]:
+    """The robot ids whose bits are set in mask, ascending."""
+    ids = []
+    while mask:
+        low = mask & -mask
+        ids.append(low.bit_length() - 1)
+        mask ^= low
+    return ids
 
 
 def flood_round(
@@ -246,41 +251,8 @@ def flood_round(
     return deliveries
 
 
-def _bfs_layers(
-    masks: dict[int, int], robots: list[int], source: int, source_bit: int, depth: int
-) -> tuple[list[list[tuple[int, tuple[int, ...]]]], list[int]]:
-    """Breadth-first search from source to depth hops over neighbor bit masks
-    (bit i stands for robots[i], robots ascending; source_bit is the source's
-    own bit). Returns the layers and the robots reached, ascending. Layer
-    h - 1 holds (sender, robots first reached at hop h) pairs, senders
-    ascending, so each robot hangs under its least-id neighbor one hop nearer."""
-    layers = []
-    ball: list[int] = []
-    reached = source_bit
-    frontier = [source]
-    while frontier and len(layers) < depth:
-        layer = []
-        reached_now: list[int] = []
-        for sender in frontier:
-            fresh = masks[sender] & ~reached
-            if fresh:
-                reached |= fresh
-                relays = []
-                while fresh:
-                    low = fresh & -fresh
-                    relays.append(robots[low.bit_length() - 1])
-                    fresh ^= low
-                layer.append((sender, relays))
-                reached_now += relays
-        layers.append(layer)
-        frontier = sorted(reached_now)
-        ball += frontier
-    ball.sort()  # merges the layers' sorted runs
-    return layers, ball
-
-
 def flood_until_quiet(
-    adjacency: dict[int, list[int]],
+    masks: dict[int, int],
     outbox: dict[int, list[Message]],
     reach: dict[int, list[int]],
     tracker: DeliveryCount,
@@ -289,47 +261,74 @@ def flood_until_quiet(
     """Flood each origin's freshly sent messages until no round delivers;
     returns the number of deliveries.
 
-    adjacency lists neighbors ascending, as ``neighbor_index`` does; outbox
-    maps an origin to its new messages, seqs distinct. reach[origin] is set
-    to the ascending ids of the robots within the largest ttl of the
+    masks holds each robot's neighbors, as ``neighbor_masks`` builds them;
+    outbox maps an origin to its new messages, seqs distinct. reach[origin]
+    is set to the ascending ids of the robots within the largest ttl of the
     origin's messages, the origin excluded. The tracker gets every delivery
-    in the order the rounds of ``flood_round`` would make them, as sorted
-    (round, sender, origin, seq, relays) groups.
+    in the order the rounds of ``flood_round`` make them.
     """
-    robots = sorted(adjacency)  # bit i of a mask stands for robots[i]
-    bit = {rid: 1 << i for i, rid in enumerate(robots)}
-    masks = {rid: sum([bit[nb] for nb in neighbors]) for rid, neighbors in adjacency.items()}
-    groups = []
-    total = 0
+    keep = tracker.keeps_rows
+    sent = {}  # origin -> (largest ttl, (ttl, row head) per message, seq ascending)
+    reached = {}  # origin -> mask of the robots that hold its messages
+    queues = {}  # sender -> origins whose messages it relays this round
     for origin, messages in outbox.items():
-        depth = max(msg.ttl for msg in messages)
-        layers, reach[origin] = _bfs_layers(masks, robots, origin, bit[origin], depth)
-        for msg in messages:
-            for rnd, layer in enumerate(layers[: msg.ttl], 1):
-                for sender, relays in layer:
-                    groups.append((rnd, sender, origin, msg.seq, relays))
-                    total += len(relays)
-    groups.sort()  # (round, sender, origin, seq) is unique: seqs differ per origin
-    tracker.add_groups(tick, groups, total)
+        heads = [(msg.ttl, f"{tick},{origin},{msg.seq}," if keep else "") for msg in sorted(messages)]
+        sent[origin] = (max(heads)[0], heads)
+        reached[origin] = 1 << origin
+        reach[origin] = []
+        if sent[origin][0]:
+            queues[origin] = [origin]
+    lines = []
+    total = 0
+    rnd = 0
+    while queues:
+        rnd += 1
+        tails = {1 << rid: f"{rid},{rnd}\n" for rid in masks} if keep else None  # a row's end
+        relayed = {}
+        for sender in sorted(queues):
+            mask = masks[sender]
+            for origin in sorted(queues[sender]):
+                fresh = mask & ~reached[origin]  # each under its least-id neighbor a hop nearer
+                if not fresh:
+                    continue
+                reached[origin] |= fresh
+                relays = []
+                rows = []
+                while fresh:
+                    low = fresh & -fresh
+                    relays.append(low.bit_length() - 1)
+                    if keep:
+                        rows.append(tails[low])
+                    fresh ^= low
+                reach[origin] += relays
+                depth, heads = sent[origin]
+                for ttl, head in heads:
+                    if ttl >= rnd:
+                        total += len(relays)
+                        if keep:
+                            lines.append(head + head.join(rows))
+                if rnd < depth:
+                    for relay in relays:
+                        relayed.setdefault(relay, []).append(origin)
+        queues = relayed
+    for origin in sent:
+        reach[origin].sort()  # merges the rounds' ascending runs
+    tracker.add_rows("".join(lines), total)
     return total
 
 
-def connectivity_components(
-    positions: dict[int, HexCoord], comm_range: int
-) -> list[list[int]]:
+def connectivity_components(masks: dict[int, int]) -> list[list[int]]:
     """Connected components of the comm graph, each sorted, ordered by least id."""
-    adjacency = neighbor_index(positions, comm_range)
-    assigned: set[int] = set()
     components = []
-    for root in sorted(positions):
-        if root in assigned:
-            continue
-        assigned.add(root)
-        component = [root]
-        for rid in component:  # grows while it is walked: a breadth-first search
-            for nb in adjacency[rid]:
-                if nb not in assigned:
-                    assigned.add(nb)
-                    component.append(nb)
-        components.append(sorted(component))
+    left = sum(1 << rid for rid in masks)
+    while left:
+        component = frontier = left & -left
+        while frontier:  # a breadth-first search, one layer a pass
+            grown = 0
+            for rid in ids_of(frontier):
+                grown |= masks[rid]
+            frontier = grown & ~component
+            component |= frontier
+        left &= ~component
+        components.append(ids_of(component))
     return components

@@ -40,10 +40,10 @@ from .comms import (
     PositionReport,
     TargetReport,
     TrackerLog,
-    comm_neighbors,  # not called here; tracing hooks patch it under this name
+    comm_neighbors,
     connectivity_components,
     flood_until_quiet,
-    neighbor_index,
+    neighbor_masks,
     new_mailboxes,  # not called here; tracing hooks patch it under this name
     send,  # not called here; tracing hooks patch it under this name
 )
@@ -128,6 +128,8 @@ class SimState:
     mean_series: list[float] = field(default_factory=list)
     component_series: list[int] = field(default_factory=list)
     first_arrival_tick: Optional[int] = None
+    # Last tick's post-move comm graph; no robot moves before the next flood.
+    comm_masks: dict[int, int] = field(default_factory=dict)
 
     def live_ids(self) -> list[int]:
         return sorted(rid for rid, r in self.robots.items() if r.live)
@@ -254,7 +256,7 @@ def _assemble_observations(
     state: SimState,
     outbox: dict[int, list[Message]],
     reach: dict[int, list[int]],
-    adjacency: dict[int, list[int]],
+    masks: dict[int, int],
 ) -> tuple[dict[int, Observation], dict[int, DanceBoard]]:
     """Build per-robot observations from the messages each robot heard, merge
     received deposits into ACO replicas, and collect heard dance adverts.
@@ -289,7 +291,7 @@ def _assemble_observations(
                     heard[rid] = DanceBoard(adv.leader, adv.direction, adv.strength, state.tick)
         observations[rid] = Observation(
             situation=robot.pos,
-            degree=len(adjacency[rid]),
+            degree=masks[rid].bit_count(),
             best_known_target_distance=robot.known_target_distance,
             neighbor_headings=headings,
         )
@@ -318,11 +320,20 @@ def tick(state: SimState) -> None:
 
     live = state.live_ids()  # unchanged until arrival retirement
     outbox = _emit_reports(state, live)
-    adjacency = neighbor_index({rid: state.robots[rid].pos for rid in live}, cfg.comm_range)
+    # The comm graph carried from the last tick, less the robots that left
+    # since; a robot it does not hold (the one spawned) is scanned in.
+    live_mask = sum(1 << rid for rid in live)
+    masks = {rid: state.comm_masks.get(rid, 0) & live_mask for rid in live}
+    positions = {rid: state.robots[rid].pos for rid in live}
+    for rid in live:
+        if rid not in state.comm_masks:
+            for nb in comm_neighbors(positions, rid, cfg.comm_range):
+                masks[rid] |= 1 << nb
+                masks[nb] |= 1 << rid
     reach: dict[int, list[int]] = {}
-    flood_until_quiet(adjacency, outbox, reach, state.tracker, t)
+    flood_until_quiet(masks, outbox, reach, state.tracker, t)
 
-    observations, heard = _assemble_observations(state, outbox, reach, adjacency)
+    observations, heard = _assemble_observations(state, outbox, reach, masks)
 
     if cfg.controller == "bco":
         # Only the current leader emits a dance advert, so any robot that
@@ -369,9 +380,8 @@ def tick(state: SimState) -> None:
 
     # Trace rows, arrival retirement and distances in one pass. Arrived robots
     # count as distance 0; robots removed by script drop out.
-    components = connectivity_components(
-        {rid: state.robots[rid].pos for rid in live}, cfg.comm_range
-    )
+    state.comm_masks = neighbor_masks({rid: state.robots[rid].pos for rid in live}, cfg.comm_range)
+    components = connectivity_components(state.comm_masks)
     comp_size = {rid: len(comp) for comp in components for rid in comp}
     leader_id = state.board.leader if state.board else ""
     geometry = state.world.geometry

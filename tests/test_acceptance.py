@@ -13,7 +13,7 @@ import pytest
 from hexswarm.aco import AcoParams, PheromoneField, transition_probs
 from hexswarm.bco import BcoParams, DanceBoard, Task, choose_task, elect_leader
 from hexswarm.cli import trace_csv
-from hexswarm.comms import TrackerLog, comm_neighbors, flood_until_quiet, neighbor_index
+from hexswarm.comms import TrackerLog, comm_neighbors, flood_until_quiet, neighbor_masks
 from hexswarm.comms import Message, POSITION_REPORT
 from hexswarm import engine
 from hexswarm.config import parse_config
@@ -315,12 +315,12 @@ def test_criterion_09_flooding_matches_bfs_hop_oracle():
                 if nb not in hops:
                     hops[nb] = hops[rid] + 1
                     frontier.append(nb)
-        adjacency = neighbor_index(positions, 2)
+        masks = neighbor_masks(positions, 2)
         for ttl in (1, 3, 5):
             reach = {}
             tracker = TrackerLog()
             outbox = {origin: [Message(origin, 0, POSITION_REPORT, None, ttl)]}
-            flood_until_quiet(adjacency, outbox, reach, tracker)
+            flood_until_quiet(masks, outbox, reach, tracker)
             assert reach == {origin: sorted(r for r, h in hops.items() if 0 < h <= ttl)}
             for rid in positions:
                 delivered = {(e.origin, e.seq): e.hops for e in tracker.entries if e.relay == rid}

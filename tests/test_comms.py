@@ -1,6 +1,6 @@
 """Comms tests: neighbor discovery, TTL flooding against a BFS hop-count
 oracle, duplicate suppression, and connectivity components. The neighbor
-index and flooding to quiescence are held to their references,
+masks and flooding to quiescence are held to their references,
 ``comm_neighbors`` and rounds of ``flood_round``."""
 
 import csv
@@ -15,13 +15,14 @@ from hypothesis import strategies as st
 
 from hexswarm.comms import (
     POSITION_REPORT,
+    DeliveryCount,
     Message,
     TrackerLog,
     comm_neighbors,
     connectivity_components,
     flood_round,
     flood_until_quiet,
-    neighbor_index,
+    neighbor_masks,
     new_mailboxes,
     send,
 )
@@ -45,6 +46,18 @@ def bfs_hops(positions, comm_range, origin):
                 hops[nb] = hops[rid] + 1
                 frontier.append(nb)
     return hops
+
+
+def all_pairs_masks(positions, comm_range):
+    """neighbor_masks from one comm_neighbors scan per robot."""
+    return {
+        rid: sum(1 << nb for nb in comm_neighbors(positions, rid, comm_range))
+        for rid in positions
+    }
+
+
+def components_of(positions, comm_range):
+    return connectivity_components(neighbor_masks(positions, comm_range))
 
 
 def random_positions(rng, n, span=7):
@@ -112,14 +125,14 @@ class TestNeighborIndex:
     @PROPERTY
     @given(robot_cells, st.integers(1, 50))  # the widest board spans 48 cells
     def test_matches_all_pairs_reference(self, positions, comm_range):
-        expected = {rid: sorted(comm_neighbors(positions, rid, comm_range)) for rid in positions}
-        assert neighbor_index(positions, comm_range) == expected
+        expected = all_pairs_masks(positions, comm_range)
+        assert neighbor_masks(positions, comm_range) == expected
 
     @PROPERTY
     @given(robot_cells, st.integers(1, 50))
     def test_components_match_all_pairs_reference(self, positions, comm_range):
         expected = union_find_components(positions, comm_range)
-        assert connectivity_components(positions, comm_range) == expected
+        assert components_of(positions, comm_range) == expected
 
     def test_wide_range_is_no_slower_than_all_pairs(self):
         """With every robot in range the grid degenerates to a few buckets;
@@ -129,7 +142,7 @@ class TestNeighborIndex:
         positions = dict(enumerate(cells))
 
         def all_pairs():
-            return {rid: sorted(comm_neighbors(positions, rid, 60)) for rid in positions}
+            return all_pairs_masks(positions, 60)
 
         def best_of(fn, repeats=5):
             times = []
@@ -139,19 +152,19 @@ class TestNeighborIndex:
                 times.append(time.perf_counter() - t0)
             return min(times)
 
-        assert neighbor_index(positions, 60) == all_pairs()
-        assert best_of(lambda: neighbor_index(positions, 60)) <= best_of(all_pairs)
+        assert neighbor_masks(positions, 60) == all_pairs()
+        assert best_of(lambda: neighbor_masks(positions, 60)) <= best_of(all_pairs)
 
 
 def flood_fresh(positions, comm_range, messages, tracker=None, tick=0):
-    """flood_until_quiet over the neighbor index of positions, every message
+    """flood_until_quiet over the neighbor masks of positions, every message
     freshly sent by its origin; returns (deliveries, reach)."""
     outbox = {}
     for message in messages:
         outbox.setdefault(message.origin, []).append(message)
     reach = {}
     made = flood_until_quiet(
-        neighbor_index(positions, comm_range),
+        neighbor_masks(positions, comm_range),
         outbox,
         reach,
         TrackerLog() if tracker is None else tracker,
@@ -245,7 +258,7 @@ class TestFloodRound:
 class TestConnectivityComponents:
     def test_single_component(self):
         positions = {i: HexCoord(i, 0) for i in range(4)}
-        assert connectivity_components(positions, 2) == [[0, 1, 2, 3]]
+        assert components_of(positions, 2) == [[0, 1, 2, 3]]
 
     def test_two_clusters(self):
         positions = {
@@ -254,19 +267,19 @@ class TestConnectivityComponents:
             2: HexCoord(10, 0),
             3: HexCoord(11, 0),
         }
-        assert connectivity_components(positions, 2) == [[0, 1], [2, 3]]
+        assert components_of(positions, 2) == [[0, 1], [2, 3]]
 
     def test_matches_union_find_oracle(self):
         rng = random.Random(31)
         for _ in range(100):
             positions = random_positions(rng, 10)
-            assert connectivity_components(positions, 2) == union_find_components(positions, 2)
+            assert components_of(positions, 2) == union_find_components(positions, 2)
 
     def test_partition_covers_all_robots_disjointly(self):
         rng = random.Random(37)
         for _ in range(50):
             positions = random_positions(rng, 8)
-            comps = connectivity_components(positions, rng.choice((1, 2, 3)))
+            comps = components_of(positions, rng.choice((1, 2, 3)))
             flat = [rid for comp in comps for rid in comp]
             assert sorted(flat) == sorted(positions)
             assert len(flat) == len(set(flat))
@@ -322,6 +335,57 @@ class TestFloodUntilQuiet:
         for origin, got in reach.items():
             widest = max((m for m in sends if m.origin == origin), key=lambda m: m.ttl)
             assert got == delivered_to(boxes, widest.msg_id)
+
+    @PROPERTY
+    @given(flood_cases())
+    def test_counting_sink_gets_the_same_count(self, case):
+        """A DeliveryCount gets no rows, only the count a TrackerLog gets."""
+        positions, comm_range, sends = case
+        logged, counted = TrackerLog(), DeliveryCount()
+        made, reach = flood_fresh(positions, comm_range, sends, logged)
+        assert flood_fresh(positions, comm_range, sends, counted) == (made, reach)
+        assert len(counted) == len(logged) == len(logged.entries) == made
+
+    def flood_as_rounds_do(self, positions, comm_range, sends):
+        """(tracker entries, reach) of flood_until_quiet, its entries held to
+        those of the rounds driven to quiescence."""
+        tracker = TrackerLog()
+        made, reach = flood_fresh(positions, comm_range, sends, tracker, tick=7)
+        boxes = new_mailboxes(positions)
+        for message in sends:
+            send(boxes, message.origin, message)
+        rounds = TrackerLog()
+        assert made == flood_by_rounds(positions, boxes, comm_range, rounds, 7) == len(tracker)
+        assert tracker.entries == rounds.entries
+        return [(e.origin, e.seq, e.relay, e.hops) for e in tracker.entries], reach
+
+    def test_ttl_zero_beside_a_wider_message(self):
+        line = {i: HexCoord(i, 0) for i in range(4)}
+        rows, reach = self.flood_as_rounds_do(line, 1, [msg(0, 1, ttl=2), msg(0, 0, ttl=0)])
+        assert rows == [(0, 1, 1, 1), (0, 1, 2, 2)]
+        assert reach == {0: [1, 2]}
+
+    def test_ttls_differ_within_one_origin(self):
+        line = {i: HexCoord(i, 0) for i in range(5)}
+        sends = [msg(0, 0, ttl=1), msg(0, 1, ttl=3), msg(0, 2, ttl=2)]
+        rows, reach = self.flood_as_rounds_do(line, 1, sends)
+        assert rows == [
+            (0, 0, 1, 1), (0, 1, 1, 1), (0, 2, 1, 1),
+            (0, 1, 2, 2), (0, 2, 2, 2),
+            (0, 1, 3, 3),
+        ]
+        assert reach == {0: [1, 2, 3]}
+
+    def test_messages_given_out_of_seq_order_come_out_seq_ascending(self):
+        positions = {0: HexCoord(0, 0), 1: HexCoord(1, 0), 2: HexCoord(0, 1), 3: HexCoord(2, 0)}
+        sends = [msg(0, 5, ttl=2), msg(0, 2, ttl=2), msg(0, 9, ttl=2), msg(3, 1, ttl=1)]
+        rows, reach = self.flood_as_rounds_do(positions, 1, sends)
+        assert rows == [
+            (0, 2, 1, 1), (0, 2, 2, 1), (0, 5, 1, 1), (0, 5, 2, 1), (0, 9, 1, 1), (0, 9, 2, 1),
+            (3, 1, 1, 1),
+            (0, 2, 3, 2), (0, 5, 3, 2), (0, 9, 3, 2),
+        ]
+        assert reach == {0: [1, 2, 3], 3: [1]}
 
     @PROPERTY
     @given(

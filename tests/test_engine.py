@@ -7,11 +7,20 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexswarm import engine
+from hexswarm.comms import (
+    comm_neighbors,
+    connectivity_components,
+    flood_until_quiet,
+    ids_of,
+    neighbor_masks,
+)
 from hexswarm.config import parse_config
 from hexswarm.engine import (
     MoveIntent,
@@ -341,6 +350,83 @@ class TestRemovalsProperty:
         again = run(parse_config(text))
         assert again.trace == state.trace
         assert again.state.tracker.entries == state.tracker.entries
+
+
+def reference_components(positions, comm_range):
+    """Components by breadth-first search over comm_neighbors, each sorted,
+    ordered by least id."""
+    left, components = sorted(positions), []
+    while left:
+        component = [left[0]]
+        for rid in component:  # grows while it is walked
+            component += sorted(comm_neighbors(positions, rid, comm_range) - set(component))
+        components.append(sorted(component))
+        left = [rid for rid in left if rid not in component]
+    return components
+
+
+def run_checking_the_comm_graph(text):
+    """Run the scenario; at every tick the masks the flood gets, carried from
+    the last tick, equal a fresh build over the live positions, and each
+    component and observed degree equals the all-pairs reference. Returns
+    the blocked spawns, arrivals and scripted removals of live robots seen."""
+    cfg = parse_config(text)
+    state = init_state(cfg)
+
+    def live_positions():
+        return {rid: state.robots[rid].pos for rid in state.live_ids()}
+
+    def flood(masks, *args):
+        positions = live_positions()
+        assert masks == neighbor_masks(positions, cfg.comm_range)
+        for rid, mask in masks.items():
+            assert ids_of(mask) == sorted(comm_neighbors(positions, rid, cfg.comm_range))
+        return flood_until_quiet(masks, *args)
+
+    def observe(*args):
+        observations, heard = assemble(*args)
+        positions = live_positions()
+        for rid, obs in observations.items():
+            assert obs.degree == len(comm_neighbors(positions, rid, cfg.comm_range))
+        return observations, heard
+
+    def components(masks):
+        got = connectivity_components(masks)
+        assert got == reference_components(live_positions(), cfg.comm_range)
+        return got
+
+    assemble = engine._assemble_observations
+    blocked = arrived = removed = 0
+    with mock.patch.object(engine, "flood_until_quiet", flood), mock.patch.object(
+        engine, "_assemble_observations", observe
+    ), mock.patch.object(engine, "connectivity_components", components):
+        while state.tick < cfg.max_ticks:
+            was_live = state.live_ids()
+            waiting = state.pending_spawn[:1]
+            tick(state)
+            blocked += bool(waiting) and not (
+                state.robots[waiting[0]].spawned or state.robots[waiting[0]].scripted_removed
+            )
+            arrived += sum(state.robots[rid].arrived for rid in was_live)
+            removed += sum(state.robots[rid].scripted_removed for rid in was_live)
+            if not state.live_ids() and not state.pending_spawn:
+                break
+    return blocked, arrived, removed
+
+
+class TestCarriedCommGraph:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(removal_scenarios())
+    def test_carried_masks_equal_a_fresh_build_every_tick(self, text):
+        run_checking_the_comm_graph(text)
+
+    def test_blocked_spawns_arrivals_and_removals_keep_the_graph_fresh(self):
+        text = cfg_text(
+            robots=12, radius=5, margin=1, target="3,0", entry="-3,0", seed=4,
+            max_ticks=60, removals="1:0, 2:1, 5:3, 8:4, 12:11",
+        )
+        blocked, arrived, removed = run_checking_the_comm_graph(text)
+        assert blocked and arrived and removed
 
 
 def place(state, rid, cell):

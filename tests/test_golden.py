@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from hexswarm.cli import build_parser, field_csv, main, trace_csv, tracker_csv
+from hexswarm.comms import DeliveryCount
 from hexswarm.config import config_overrides, parse_config
 from hexswarm.engine import run
 
@@ -110,10 +111,8 @@ def test_outputs_match_recorded_digests(tmp_path, scenario, flags):
     assert (code, digests) == GOLDEN[(scenario, flags)]
 
 
-def in_memory_files(scenario: Path, flags: str) -> dict[str, bytes]:
-    """The csv files of the CLI run (scenario, flags), made by the library's
-    in-memory sinks: every trace row in a list, every delivery in a
-    ``TrackerLog``'s parts."""
+def cli_configs(scenario: Path, flags: str):
+    """(suffix, config) of every simulation of the CLI run (scenario, flags)."""
     args = build_parser().parse_args(flags.split())
     cfg = config_overrides(
         parse_config(scenario.read_text()),
@@ -121,10 +120,17 @@ def in_memory_files(scenario: Path, flags: str) -> dict[str, bytes]:
         controller=args.controller,
         max_ticks=args.ticks,
     )
-    files = {}
     for seed in range(cfg.seed, cfg.seed + (args.batch or 1)):
-        result = run(config_overrides(cfg, seed=seed))
-        suffix = "" if args.batch is None else f"_{seed}"
+        yield "" if args.batch is None else f"_{seed}", config_overrides(cfg, seed=seed)
+
+
+def in_memory_files(scenario: Path, flags: str) -> dict[str, bytes]:
+    """The csv files of the CLI run (scenario, flags), made by the library's
+    in-memory sinks: every trace row in a list, every delivery in a
+    ``TrackerLog``'s parts."""
+    files = {}
+    for suffix, cfg in cli_configs(scenario, flags):
+        result = run(cfg)
         files[f"trace{suffix}.csv"] = trace_csv(result).encode()
         if cfg.controller == "aco":
             files[f"field{suffix}.csv"] = field_csv(result).encode()
@@ -138,6 +144,20 @@ def in_memory_files(scenario: Path, flags: str) -> dict[str, bytes]:
 )
 def test_memory_sinks_match_the_streamed_files(tmp_path, scenario, flags):
     assert_sinks_agree(tmp_path / "out", REPO / scenario, flags)
+
+
+@pytest.mark.parametrize(
+    "scenario,flags", list(GOLDEN), ids=[f"{s.rsplit('/', 1)[-1]} {f}" for s, f in GOLDEN]
+)
+def test_counting_sink_counts_what_the_log_holds(scenario, flags):
+    """A flood formats no rows for a DeliveryCount; it must count every
+    delivery a TrackerLog gets, and the run must not change."""
+    for _, cfg in cli_configs(REPO / scenario, flags):
+        logged = run(cfg)
+        counted = run(cfg, tracker=DeliveryCount())
+        assert len(counted.state.tracker) == len(logged.state.tracker)
+        assert len(logged.state.tracker) == len(logged.state.tracker.entries)
+        assert (counted.trace, counted.summary) == (logged.trace, logged.summary)
 
 
 def assert_sinks_agree(out: Path, scenario: Path, flags: str) -> None:
