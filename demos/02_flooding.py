@@ -15,7 +15,7 @@ from hexswarm import (
     flood_until_quiet,
     neighbor_masks,
 )
-from hexswarm.comms import POSITION_REPORT
+from hexswarm.comms import POSITION_REPORT, ids_of
 
 
 def main():
@@ -38,7 +38,7 @@ def main():
         print(f"  tracker recorded {len(tracker)} deliveries:")
         for entry in entries:
             print(f"    robot {entry.relay} got ({entry.origin},{entry.seq}) at hop {entry.hops}")
-        print(f"  robot 0 reaches {reach[0]}")
+        print(f"  robot 0 reaches {ids_of(reach[0])}")  # reach[0] is a mask
 
 
 if __name__ == "__main__":

@@ -24,8 +24,8 @@ relay), with nothing to sort. ``DeliveryCount`` only counts deliveries, so
 no row is formatted for it; ``TrackerLog`` hands tracker.csv rows to its
 ``write``, which keeps them in memory unless it is given a file's.
 Rather than per-robot inboxes, the flood fills in each origin's reach, the
-robots within its messages' ttl: with one ttl for all, the comm graph's
-symmetry makes them the origins the origin hears.
+mask of the robots within its messages' ttl: with one ttl for all, the comm
+graph's symmetry makes them the origins the origin hears.
 """
 
 from __future__ import annotations
@@ -254,7 +254,7 @@ def flood_round(
 def flood_until_quiet(
     masks: dict[int, int],
     outbox: dict[int, list[Message]],
-    reach: dict[int, list[int]],
+    reach: dict[int, int],
     tracker: DeliveryCount,
     tick: int = 0,
 ) -> int:
@@ -263,9 +263,9 @@ def flood_until_quiet(
 
     masks holds each robot's neighbors, as ``neighbor_masks`` builds them;
     outbox maps an origin to its new messages, seqs distinct. reach[origin]
-    is set to the ascending ids of the robots within the largest ttl of the
-    origin's messages, the origin excluded. The tracker gets every delivery
-    in the order the rounds of ``flood_round`` make them.
+    is set to the mask of the robots within the largest ttl of the origin's
+    messages, the origin excluded. The tracker gets every delivery in the
+    order the rounds of ``flood_round`` make them.
     """
     keep = tracker.keeps_rows
     sent = {}  # origin -> (largest ttl, (ttl, row head) per message, seq ascending)
@@ -275,7 +275,6 @@ def flood_until_quiet(
         heads = [(msg.ttl, f"{tick},{origin},{msg.seq}," if keep else "") for msg in sorted(messages)]
         sent[origin] = (max(heads)[0], heads)
         reached[origin] = 1 << origin
-        reach[origin] = []
         if sent[origin][0]:
             queues[origin] = [origin]
     lines = []
@@ -292,27 +291,27 @@ def flood_until_quiet(
                 if not fresh:
                     continue
                 reached[origin] |= fresh
+                depth, heads = sent[origin]
+                count = fresh.bit_count()
                 relays = []
                 rows = []
-                while fresh:
+                while fresh and (keep or rnd < depth):  # a count alone walks no bits
                     low = fresh & -fresh
                     relays.append(low.bit_length() - 1)
                     if keep:
                         rows.append(tails[low])
                     fresh ^= low
-                reach[origin] += relays
-                depth, heads = sent[origin]
                 for ttl, head in heads:
                     if ttl >= rnd:
-                        total += len(relays)
+                        total += count
                         if keep:
                             lines.append(head + head.join(rows))
                 if rnd < depth:
                     for relay in relays:
                         relayed.setdefault(relay, []).append(origin)
         queues = relayed
-    for origin in sent:
-        reach[origin].sort()  # merges the rounds' ascending runs
+    for origin, mask in reached.items():
+        reach[origin] = mask ^ (1 << origin)
     tracker.add_rows("".join(lines), total)
     return total
 

@@ -150,9 +150,11 @@ def validate_config(cfg: ScenarioConfig) -> None:
     _require(cfg.comm_range >= 1, "comm_range", "must be >= 1")
     _require(cfg.ttl >= 0, "ttl", "must be >= 0")
     _require(cfg.sensing_radius >= 0, "sensing_radius", "must be >= 0")
+    removed = [rid for _, rid in cfg.removals]
     for tick, rid in cfg.removals:
         _require(tick >= 0, "removals", f"tick {tick} must be >= 0")
         _require(0 <= rid < cfg.robots, "removals", f"robot id {rid} out of range")
+        _require(removed.count(rid) == 1, "removals", f"robot {rid} is removed more than once")
 
     ga = cfg.ga
     _require(ga.population >= 2, "population", "must be >= 2")

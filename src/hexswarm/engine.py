@@ -43,6 +43,7 @@ from .comms import (
     comm_neighbors,
     connectivity_components,
     flood_until_quiet,
+    ids_of,
     neighbor_masks,
     new_mailboxes,  # not called here; tracing hooks patch it under this name
     send,  # not called here; tracing hooks patch it under this name
@@ -255,45 +256,55 @@ def _emit_reports(state: SimState, live: list[int]) -> dict[int, list[Message]]:
 def _assemble_observations(
     state: SimState,
     outbox: dict[int, list[Message]],
-    reach: dict[int, list[int]],
+    reach: dict[int, int],
     masks: dict[int, int],
 ) -> tuple[dict[int, Observation], dict[int, DanceBoard]]:
     """Build per-robot observations from the messages each robot heard, merge
     received deposits into ACO replicas, and collect heard dance adverts.
 
     Every live robot sends, all with ttl = cfg.ttl, over a symmetric comm
-    graph, so robot r hears exactly the origins in reach[r]. Their payloads
-    are decoded, not re-read from the robots: an advert's strength is a
-    snapshot taken at emission.
+    graph, so robot r hears exactly the origins in the mask reach[r]. Their
+    payloads are decoded once a tick, not re-read from the robots: an
+    advert's strength is a snapshot taken at emission. A listener walks the
+    heard origins with more than a position report, ascending, so a replica
+    gets its deposits in origin order.
 
-    Only reports of robots that actually moved contribute a neighbor
-    heading: a stationary robot has no motion to align with.
+    Neighbor headings, read by the GA only, come from the heard robots that
+    actually moved: a stationary robot has no motion to align with.
     """
+    ga = state.config.controller == "ga"
+    moved = {}  # origin -> (heading, speed), for the GA, of the robots that moved
+    talkers = {}  # origin -> (cell, target distance, dance advert) past its position report
+    for origin, msgs in outbox.items():
+        report = msgs[0].payload
+        if ga and report.speed >= 1:
+            moved[origin] = (report.heading, report.speed)
+        if len(msgs) > 1:
+            payloads = {msg.kind: msg.payload for msg in msgs[1:]}
+            target = payloads.get(TARGET_REPORT)
+            distance = None if target is None else target.distance
+            talkers[origin] = (report.cell, distance, payloads.get(DANCE_ADVERT))
+    moved_mask = sum(1 << origin for origin in moved)
+    talk = sum(1 << origin for origin in talkers)
     observations = {}
     heard: dict[int, DanceBoard] = {}
     for rid in outbox:
         robot = state.robots[rid]
-        headings: list[tuple[Direction, int]] = []
-        for origin in reach[rid]:
-            for msg in outbox[origin]:  # its position report first: cell is the origin's
-                if msg.kind == POSITION_REPORT:
-                    if msg.payload.speed >= 1:
-                        headings.append((msg.payload.heading, msg.payload.speed))
-                    cell = msg.payload.cell
-                elif msg.kind == TARGET_REPORT:
-                    d = msg.payload.distance
-                    if robot.known_target_distance is None or d < robot.known_target_distance:
-                        robot.known_target_distance = d
-                    if robot.pher is not None:  # trails carry target data
-                        robot.pher.deposit(state.world, cell, d)
-                elif msg.kind == DANCE_ADVERT:
-                    adv = msg.payload
-                    heard[rid] = DanceBoard(adv.leader, adv.direction, adv.strength, state.tick)
+        hears = reach[rid]
+        for origin in ids_of(hears & talk) if hears & talk else ():
+            cell, d, adv = talkers[origin]
+            if d is not None:
+                if robot.known_target_distance is None or d < robot.known_target_distance:
+                    robot.known_target_distance = d
+                if robot.pher is not None:  # trails carry target data
+                    robot.pher.deposit(state.world, cell, d)
+            if adv is not None:
+                heard[rid] = DanceBoard(adv.leader, adv.direction, adv.strength, state.tick)
         observations[rid] = Observation(
             situation=robot.pos,
             degree=masks[rid].bit_count(),
             best_known_target_distance=robot.known_target_distance,
-            neighbor_headings=headings,
+            neighbor_headings=[moved[o] for o in ids_of(hears & moved_mask)] if ga else [],
         )
     return observations, heard
 
@@ -330,7 +341,7 @@ def tick(state: SimState) -> None:
             for nb in comm_neighbors(positions, rid, cfg.comm_range):
                 masks[rid] |= 1 << nb
                 masks[nb] |= 1 << rid
-    reach: dict[int, list[int]] = {}
+    reach: dict[int, int] = {}
     flood_until_quiet(masks, outbox, reach, state.tracker, t)
 
     observations, heard = _assemble_observations(state, outbox, reach, masks)

@@ -68,7 +68,8 @@ class Move:
 @dataclass
 class Observation:
     """What a robot knows when it decides: its cell, comm degree, best known
-    target distance (own sensing or relayed), and neighbor headings."""
+    target distance (own sensing or relayed), and, for the GA only, the
+    headings of the heard robots that moved."""
 
     situation: HexCoord
     degree: int

@@ -13,7 +13,7 @@ import pytest
 from hexswarm.aco import AcoParams, PheromoneField, transition_probs
 from hexswarm.bco import BcoParams, DanceBoard, Task, choose_task, elect_leader
 from hexswarm.cli import trace_csv
-from hexswarm.comms import TrackerLog, comm_neighbors, flood_until_quiet, neighbor_masks
+from hexswarm.comms import TrackerLog, comm_neighbors, flood_until_quiet, ids_of, neighbor_masks
 from hexswarm.comms import Message, POSITION_REPORT
 from hexswarm import engine
 from hexswarm.config import parse_config
@@ -321,7 +321,8 @@ def test_criterion_09_flooding_matches_bfs_hop_oracle():
             tracker = TrackerLog()
             outbox = {origin: [Message(origin, 0, POSITION_REPORT, None, ttl)]}
             flood_until_quiet(masks, outbox, reach, tracker)
-            assert reach == {origin: sorted(r for r, h in hops.items() if 0 < h <= ttl)}
+            reached = {o: ids_of(mask) for o, mask in reach.items()}
+            assert reached == {origin: sorted(r for r, h in hops.items() if 0 < h <= ttl)}
             for rid in positions:
                 delivered = {(e.origin, e.seq): e.hops for e in tracker.entries if e.relay == rid}
                 if rid != origin and rid in hops and hops[rid] <= ttl:

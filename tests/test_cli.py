@@ -242,6 +242,14 @@ class TestExitStatuses:
         scenario = write_scenario(tmp_path, "robots = 0\n")
         assert main(["--scenario", scenario]) == 1
 
+    @pytest.mark.parametrize("removals", ["5:3, 5:3", "5:3, 9:3"])
+    def test_removal_repeating_a_robot_is_usage_error(self, tmp_path, capsys, removals):
+        text = SMALL.replace("robots = 4", "robots = 10") + f"removals = {removals}\n"
+        scenario = write_scenario(tmp_path, text)
+        assert main(["--scenario", scenario, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("hexswarm: error: removals: robot 3 ")
+        assert not (tmp_path / "out").exists()
+
     def test_success_exit_zero(self, tmp_path):
         scenario = write_scenario(
             tmp_path, "robots = 1\nradius = 6\nmargin = 1\ntarget = 1,0\nentry = 0,0\n"

@@ -22,6 +22,7 @@ from hexswarm.comms import (
     connectivity_components,
     flood_round,
     flood_until_quiet,
+    ids_of,
     neighbor_masks,
     new_mailboxes,
     send,
@@ -173,6 +174,11 @@ def flood_fresh(positions, comm_range, messages, tracker=None, tick=0):
     return made, reach
 
 
+def reach_ids(reach):
+    """{origin: ascending ids of the robots in its reach mask}."""
+    return {origin: ids_of(mask) for origin, mask in reach.items()}
+
+
 class TestFloodRound:
     def chain(self):
         return {0: HexCoord(0, 0), 1: HexCoord(1, 0), 2: HexCoord(2, 0)}
@@ -192,7 +198,7 @@ class TestFloodRound:
     def test_ttl_one_never_reaches_end_of_chain(self):
         tracker = TrackerLog()
         _, reach = flood_fresh(self.chain(), 1, [msg(origin=0, ttl=1)], tracker)
-        assert reach == {0: [1]}
+        assert reach_ids(reach) == {0: [1]}
         assert [e.relay for e in tracker.entries] == [1]
 
     def test_reinjection_after_full_delivery_is_silent(self):
@@ -210,7 +216,7 @@ class TestFloodRound:
         tracker = TrackerLog()
         made, reach = flood_fresh(self.chain(), 1, [msg(origin=0, ttl=0)], tracker)
         assert made == 0
-        assert reach == {0: []}
+        assert reach_ids(reach) == {0: []}
         assert tracker.entries == []
 
     def test_no_robot_receives_a_message_twice(self):
@@ -232,7 +238,7 @@ class TestFloodRound:
             tracker = TrackerLog()
             _, reach = flood_fresh(positions, 2, [msg(origin=origin, ttl=ttl)], tracker)
             oracle = bfs_hops(positions, 2, origin)
-            assert reach == {origin: sorted(r for r, h in oracle.items() if 0 < h <= ttl)}
+            assert reach_ids(reach) == {origin: sorted(r for r, h in oracle.items() if 0 < h <= ttl)}
             for rid in positions:
                 got = {(e.origin, e.seq): e.hops for e in tracker.entries if e.relay == rid}
                 if rid == origin:
@@ -334,7 +340,7 @@ class TestFloodUntilQuiet:
         assert sorted(reach) == sorted({m.origin for m in sends})
         for origin, got in reach.items():
             widest = max((m for m in sends if m.origin == origin), key=lambda m: m.ttl)
-            assert got == delivered_to(boxes, widest.msg_id)
+            assert ids_of(got) == delivered_to(boxes, widest.msg_id)
 
     @PROPERTY
     @given(flood_cases())
@@ -363,7 +369,7 @@ class TestFloodUntilQuiet:
         line = {i: HexCoord(i, 0) for i in range(4)}
         rows, reach = self.flood_as_rounds_do(line, 1, [msg(0, 1, ttl=2), msg(0, 0, ttl=0)])
         assert rows == [(0, 1, 1, 1), (0, 1, 2, 2)]
-        assert reach == {0: [1, 2]}
+        assert reach_ids(reach) == {0: [1, 2]}
 
     def test_ttls_differ_within_one_origin(self):
         line = {i: HexCoord(i, 0) for i in range(5)}
@@ -374,7 +380,7 @@ class TestFloodUntilQuiet:
             (0, 1, 2, 2), (0, 2, 2, 2),
             (0, 1, 3, 3),
         ]
-        assert reach == {0: [1, 2, 3]}
+        assert reach_ids(reach) == {0: [1, 2, 3]}
 
     def test_messages_given_out_of_seq_order_come_out_seq_ascending(self):
         positions = {0: HexCoord(0, 0), 1: HexCoord(1, 0), 2: HexCoord(0, 1), 3: HexCoord(2, 0)}
@@ -385,7 +391,7 @@ class TestFloodUntilQuiet:
             (3, 1, 1, 1),
             (0, 2, 3, 2), (0, 5, 3, 2), (0, 9, 3, 2),
         ]
-        assert reach == {0: [1, 2, 3], 3: [1]}
+        assert reach_ids(reach) == {0: [1, 2, 3], 3: [1]}
 
     @PROPERTY
     @given(
@@ -433,4 +439,4 @@ class TestFloodUntilQuiet:
         flood_by_rounds(positions, boxes, comm_range, TrackerLog(), 0)
 
         for rid, box in boxes.items():
-            assert {d.message.origin for d in box.delivered} == set(reach[rid])
+            assert {d.message.origin for d in box.delivered} == set(ids_of(reach[rid]))

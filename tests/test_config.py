@@ -157,6 +157,18 @@ class TestValidation:
         with pytest.raises(ConfigError, match="removals"):
             parse_config("robots = 3\nremovals = 10:7\n")
 
+    @pytest.mark.parametrize("removals", ["5:3, 5:3", "5:3, 9:3"])
+    def test_removal_repeating_a_robot_names_the_field(self, tmp_path, removals):
+        scenario = tmp_path / "scenario.cfg"
+        scenario.write_text(f"robots = 10\nremovals = {removals}\n")
+        with pytest.raises(ConfigError, match="^removals: robot 3 is removed more than once$"):
+            parse_config(scenario.read_text())
+
+    def test_removal_past_max_ticks_is_kept(self):
+        """--ticks can raise the limit, so a later removal is not an error."""
+        cfg = parse_config("max_ticks = 10\nremovals = 50:1\n")
+        assert cfg.removals == [(50, 1)]
+
     def test_bad_controller(self):
         with pytest.raises(ConfigError, match="controller"):
             parse_config("controller = pso\n")
@@ -234,7 +246,7 @@ def valid_configs(draw):
         comm_range=draw(st.integers(1, 50)),
         ttl=draw(st.integers(0, 50)),
         sensing_radius=draw(st.integers(0, 50)),
-        removals=draw(st.lists(removal, max_size=5)),
+        removals=draw(st.lists(removal, max_size=5, unique_by=lambda removal: removal[1])),
         ga=GaParams(
             population=population,
             generations=draw(st.integers(1, 50)),

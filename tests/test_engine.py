@@ -1,6 +1,7 @@
 """Engine tests: spawning through the entry cell, conflict resolution,
 the tick phase contract, run termination, determinism, and invariants."""
 
+import copy
 import hashlib
 import os
 import random
@@ -14,7 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexswarm import engine
+from hexswarm.bco import DanceBoard
 from hexswarm.comms import (
+    DANCE_ADVERT,
+    POSITION_REPORT,
+    TARGET_REPORT,
     comm_neighbors,
     connectivity_components,
     flood_until_quiet,
@@ -35,9 +40,10 @@ from hexswarm.engine import (
     spawn_step,
     tick,
 )
-from hexswarm.hexworld import Direction, HexCoord, hex_distance, step
+from hexswarm.hexworld import Direction, HexCoord, Observation, hex_distance, step
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+REPO = Path(__file__).resolve().parents[1]
+SRC = REPO / "src"
 
 
 def cfg_text(**kv):
@@ -312,14 +318,15 @@ class TestRun:
 def removal_scenarios(draw):
     """A small board, 2-12 robots and a removal script, timed while robots
     still spawn (at most one a tick) and early runs end, so some robots go
-    before they spawn and some after; some are named twice."""
+    before they spawn and some after. A script names each robot once."""
     radius = draw(st.integers(4, 6))
     robots = draw(st.integers(2, 12))
     when = st.integers(0, robots + 10)
-    removals = draw(st.lists(st.tuples(when, st.integers(0, robots - 1)), max_size=8))
-    if removals:
-        for _, rid in draw(st.lists(st.sampled_from(removals), max_size=3)):
-            removals.append((draw(when), rid))
+    removals = draw(
+        st.lists(
+            st.tuples(when, st.integers(0, robots - 1)), max_size=8, unique_by=lambda r: r[1]
+        )
+    )
     return cfg_text(
         controller=draw(st.sampled_from(("ga", "aco", "bco"))),
         robots=robots,
@@ -427,6 +434,93 @@ class TestCarriedCommGraph:
         )
         blocked, arrived, removed = run_checking_the_comm_graph(text)
         assert blocked and arrived and removed
+
+
+def reference_observations(state, outbox, reach, masks):
+    """Observation assembly decoded per listener: each robot walks every
+    origin it heard, ascending, through all of its messages, and collects
+    neighbor headings whatever the controller."""
+    observations = {}
+    heard = {}
+    for rid in outbox:
+        robot = state.robots[rid]
+        headings = []
+        for origin in ids_of(reach[rid]):
+            for msg in outbox[origin]:  # its position report first: cell is the origin's
+                if msg.kind == POSITION_REPORT:
+                    if msg.payload.speed >= 1:
+                        headings.append((msg.payload.heading, msg.payload.speed))
+                    cell = msg.payload.cell
+                elif msg.kind == TARGET_REPORT:
+                    d = msg.payload.distance
+                    if robot.known_target_distance is None or d < robot.known_target_distance:
+                        robot.known_target_distance = d
+                    if robot.pher is not None:
+                        robot.pher.deposit(state.world, cell, d)
+                elif msg.kind == DANCE_ADVERT:
+                    adv = msg.payload
+                    heard[rid] = DanceBoard(adv.leader, adv.direction, adv.strength, state.tick)
+        observations[rid] = Observation(
+            situation=robot.pos,
+            degree=masks[rid].bit_count(),
+            best_known_target_distance=robot.known_target_distance,
+            neighbor_headings=headings,
+        )
+    return observations, heard
+
+
+def run_against_the_reference_decode(scenario):
+    """Run a shipped scenario; at every tick the engine's observations, its
+    replicas' pheromone levels and the heard boards equal those of the
+    per-listener reference run on copies of the robots. Returns how often a
+    replica took deposits from two or more origins in one tick, and how many
+    adverts and neighbor headings were heard."""
+    cfg = parse_config((REPO / "scenarios" / scenario).read_text())
+    state = init_state(cfg)
+    assemble = engine._assemble_observations
+    made = {"two_origin_deposits": 0, "adverts": 0, "headings": 0}
+
+    def observe(state, outbox, reach, masks):
+        twin = copy.copy(state)
+        twin.robots = copy.deepcopy(state.robots)
+        want, want_heard = reference_observations(twin, outbox, reach, masks)
+        got, heard = assemble(state, outbox, reach, masks)
+        assert heard == want_heard
+        assert list(got) == list(want)
+        for rid, obs in got.items():
+            robot, ref = state.robots[rid], twin.robots[rid]
+            assert (obs.situation, obs.degree) == (want[rid].situation, want[rid].degree)
+            assert obs.best_known_target_distance == want[rid].best_known_target_distance
+            assert robot.known_target_distance == ref.known_target_distance
+            if cfg.controller == "aco":  # float sums: equal only in the same order
+                assert list(robot.pher.levels.items()) == list(ref.pher.levels.items())
+                senders = [o for o in ids_of(reach[rid]) if outbox[o][1:2]]
+                made["two_origin_deposits"] += len(senders) >= 2
+            if cfg.controller == "ga":
+                assert obs.neighbor_headings == want[rid].neighbor_headings
+                made["headings"] += len(obs.neighbor_headings)
+            else:
+                assert obs.neighbor_headings == []
+        made["adverts"] += len(heard)
+        return got, heard
+
+    with mock.patch.object(engine, "_assemble_observations", observe):
+        while state.tick < cfg.max_ticks:
+            tick(state)
+            if not state.live_ids() and not state.pending_spawn:
+                break
+    return made
+
+
+class TestObservationAssembly:
+    def test_ga_matches_the_per_listener_decode(self):
+        assert run_against_the_reference_decode("ga_default.cfg")["headings"]
+
+    def test_aco_trails_matches_the_per_listener_decode(self):
+        assert run_against_the_reference_decode("aco_trails.cfg")["two_origin_deposits"]
+
+    def test_bco_failover_matches_the_per_listener_decode(self):
+        assert run_against_the_reference_decode("bco_failover.cfg")["adverts"]
 
 
 def place(state, rid, cell):

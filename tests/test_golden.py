@@ -160,6 +160,25 @@ def test_counting_sink_counts_what_the_log_holds(scenario, flags):
         assert (counted.trace, counted.summary) == (logged.trace, logged.summary)
 
 
+def test_every_shipped_scenario_and_golden_case_still_parses():
+    """No shipped input removes a robot twice, so rejecting that rejects none."""
+    shipped = sorted(REPO.glob("scenarios/*.cfg")) + sorted(REPO.glob("perfbench/scenarios/*.cfg"))
+    removals = {str(p.relative_to(REPO)): parse_config(p.read_text()).removals for p in shipped}
+    assert removals == {
+        "scenarios/aco_trails.cfg": [],
+        "scenarios/bco_failover.cfg": [(100, 0)],
+        "scenarios/ga_default.cfg": [],
+        "perfbench/scenarios/aco_trails.cfg": [],
+        "perfbench/scenarios/bco_failover.cfg": [(100, 0)],
+        "perfbench/scenarios/dense.cfg": [],
+        "perfbench/scenarios/ga_default.cfg": [],
+    }
+    for scenario, flags in GOLDEN:
+        for _, cfg in cli_configs(REPO / scenario, flags):
+            assert cfg.removals == parse_config((REPO / scenario).read_text()).removals
+    assert parse_config(GA_PARAMS_SCENARIO).removals == []
+
+
 def assert_sinks_agree(out: Path, scenario: Path, flags: str) -> None:
     """Adding observers never perturbs behaviour: the CLI's file-backed sinks
     and the library's in-memory ones hold the same bytes."""
