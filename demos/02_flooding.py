@@ -15,7 +15,7 @@ from hexswarm import (
     flood_until_quiet,
     neighbor_masks,
 )
-from hexswarm.comms import POSITION_REPORT, ids_of
+from hexswarm.comms import ids_of
 
 
 def main():
@@ -28,7 +28,7 @@ def main():
     for ttl in (3, 7):
         tracker = TrackerLog()
         reach = {}
-        outbox = {0: [Message(0, 0, POSITION_REPORT, None, ttl)]}
+        outbox = {0: [Message(0, 0, ttl)]}
         flood_until_quiet(masks, outbox, reach, tracker)
         entries = tracker.entries
         print(f"\nmessage from robot 0 with ttl {ttl}:")

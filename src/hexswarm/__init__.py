@@ -20,8 +20,6 @@ from .comms import (
     DanceAdvert,
     DeliveryCount,
     Message,
-    PositionReport,
-    TargetReport,
     TrackerLog,
     comm_neighbors,
     connectivity_components,

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterator, Optional, TextIO
 
 from .comms import TRACKER_CSV_HEADER, DeliveryCount, TrackerLog
-from .config import ConfigError, ScenarioConfig, config_overrides, parse_config
+from .config import ConfigError, ScenarioConfig, ascii_int, config_overrides, parse_config
 from .engine import TRACE_HEADER, RunResult, run
 
 EXIT_USAGE = 1
@@ -143,13 +143,13 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hexswarm", description=__doc__)
     parser.add_argument("--scenario", help="scenario config file (defaults apply if omitted)")
-    parser.add_argument("--seed", type=int, help="root seed, overrides the config")
+    parser.add_argument("--seed", type=ascii_int, help="root seed, overrides the config")
     parser.add_argument("--controller", choices=("ga", "aco", "bco"), help="controller override")
-    parser.add_argument("--ticks", type=int, help="max tick count override")
+    parser.add_argument("--ticks", type=ascii_int, help="max tick count override")
     parser.add_argument("--out", default="out", help="output directory (default: out)")
     parser.add_argument(
         "--batch",
-        type=int,
+        type=ascii_int,
         metavar="N",
         help="run N consecutive seeds; one summary row per seed",
     )

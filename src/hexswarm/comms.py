@@ -25,32 +25,17 @@ no row is formatted for it; ``TrackerLog`` hands tracker.csv rows to its
 ``write``, which keeps them in memory unless it is given a file's.
 Rather than per-robot inboxes, the flood fills in each origin's reach, the
 mask of the robots within its messages' ttl: with one ttl for all, the comm
-graph's symmetry makes them the origins the origin hears.
+graph's symmetry makes them the origins the origin hears. So a message needs
+no payload, only its (origin, seq) and ttl: a listener reads what the origins
+it hears report from tables the engine writes once a tick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 from .hexworld import Direction, HexCoord, hex_distance
-
-POSITION_REPORT = "position"
-TARGET_REPORT = "target"
-DANCE_ADVERT = "dance"
-
-
-@dataclass(frozen=True)
-class PositionReport:
-    cell: HexCoord
-    heading: Direction
-    speed: int
-
-
-@dataclass(frozen=True)
-class TargetReport:
-    distance: int
-    sensed_tick: int
 
 
 @dataclass(frozen=True)
@@ -65,10 +50,11 @@ class DanceAdvert:
 
 
 class Message(NamedTuple):
+    """A message as the flood sees it, with no payload: what robots report,
+    the engine writes once a tick into the tables listeners read."""
+
     origin: int
     seq: int
-    kind: str
-    payload: Any
     ttl: int
 
     @property

@@ -3,12 +3,14 @@ optional ``[ga]`` / ``[aco]`` / ``[bco]`` section per controller block.
 
 Missing keys take the documented defaults; unknown keys, duplicate keys and
 repeated sections are rejected with their line number. Full-line comments
-start with '#'.
+start with '#'. Numbers are ASCII only, in one grammar shared with the CLI's
+integer flags (``ascii_int``, ``ascii_float``).
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, replace
 from typing import Any, Callable, get_type_hints
 
@@ -43,36 +45,51 @@ class ScenarioConfig:
     bco: BcoParams = field(default_factory=BcoParams)
 
 
-def _parse_coord(value: str) -> HexCoord:
-    parts = [p.strip() for p in value.split(",")]
+_INT = re.compile(r"-?(?:0|[1-9][0-9]*)")
+_FLOAT = re.compile(_INT.pattern + r"(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?")
+
+
+def ascii_int(text: str) -> int:
+    """An integer in ASCII digits: no '_', no leading '+', no leading zero."""
+    if not _INT.fullmatch(text):
+        raise ValueError(f"expected an integer such as 12 or -3, got {text!r}")
+    return int(text)
+
+
+def ascii_float(text: str) -> float:
+    """A finite number in ASCII digits, integer part as in ascii_int, with an
+    optional fraction and exponent; a nonzero literal may not underflow to 0."""
+    if not _FLOAT.fullmatch(text):
+        raise ValueError(f"expected a number such as 0.25 or 1e-05, got {text!r}")
+    number = float(text)
+    if not math.isfinite(number):
+        raise ValueError(f"must be a finite number, got {text!r}")
+    if number == 0.0 and re.split("[eE]", text)[0].strip("-.0"):
+        raise ValueError(f"{text!r} is not zero but underflows to 0.0")
+    return number
+
+
+def _int_pair(text: str, sep: str, form: str) -> tuple[int, int]:
+    parts = text.split(sep)
     if len(parts) != 2:
-        raise ValueError(f"expected 'q,r', got {value!r}")
-    return HexCoord(int(parts[0]), int(parts[1]))
+        raise ValueError(f"expected {form!r}, got {text.strip()!r}")
+    return ascii_int(parts[0].strip()), ascii_int(parts[1].strip())
+
+
+def _parse_coord(value: str) -> HexCoord:
+    return HexCoord(*_int_pair(value, ",", "q,r"))
 
 
 def _parse_removals(value: str) -> list[tuple[int, int]]:
-    out = []
     if not value.strip():
-        return out
-    for chunk in value.split(","):
-        tick_s, _, rid_s = chunk.partition(":")
-        if not rid_s:
-            raise ValueError(f"expected 'tick:robot', got {chunk.strip()!r}")
-        out.append((int(tick_s), int(rid_s)))
-    return out
-
-
-def _parse_finite(value: str) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"must be a finite number, got {value!r}")
-    return number
+        return []
+    return [_int_pair(chunk, ":", "tick:robot") for chunk in value.split(",")]
 
 
 # Value parser per declared field type; every config key is a dataclass field.
 _PARSE_BY_TYPE = {
-    int: int,
-    float: _parse_finite,
+    int: ascii_int,
+    float: ascii_float,
     str: str,
     HexCoord: _parse_coord,
     list[tuple[int, int]]: _parse_removals,

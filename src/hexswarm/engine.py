@@ -1,11 +1,12 @@
 """Deterministic tick loop that owns all mutable state and all rng streams.
 
 Each tick runs fixed phases: scripted removals, spawn, report emission (plus
-observer deposits), flooding to quiescence, observation assembly from each
-robot's reach (plus pheromone replica merge), leader election, controller
-decisions, conflict resolution, evaporation, then one pass of trace
-recording, arrival retirement and distances. Every phase after spawn reads
-the one live list taken there.
+observer deposits) into the tables listeners read, flooding to quiescence,
+observation assembly from each robot's reach over those tables (plus
+pheromone replica merge), leader election, controller decisions, conflict
+resolution, evaporation, then one pass of trace recording, arrival
+retirement and distances. Every phase after spawn reads the one live list
+taken there.
 
 A run hands its records to two sinks as it goes: each tick's trace rows to
 ``state.trace`` (``extend``) and each flood's deliveries to ``state.tracker``
@@ -31,14 +32,9 @@ from typing import Optional
 from .aco import PheromoneField, decide_move_aco
 from .bco import DanceBoard, dance_strength, decide_move_bco, elect_leader
 from .comms import (
-    DANCE_ADVERT,
-    POSITION_REPORT,
-    TARGET_REPORT,
     DanceAdvert,
     DeliveryCount,
     Message,
-    PositionReport,
-    TargetReport,
     TrackerLog,
     comm_neighbors,
     connectivity_components,
@@ -92,7 +88,6 @@ class Robot:
     pos: Optional[HexCoord] = None
     heading: Direction = Direction.E
     last_speed: int = 0
-    spawned: bool = False
     live: bool = False
     arrived: bool = False
     scripted_removed: bool = False
@@ -164,11 +159,9 @@ def spawn_step(state: SimState) -> Optional[int]:
         return None
     rid = state.pending_spawn.pop(0)
     robot = state.robots[rid]
-    robot.spawned = True
     robot.live = True
     robot.pos = entry
     robot.heading = Direction(derive_rng(state.rng_root, "spawn", rid).randrange(6))
-    robot.last_speed = 0
     state.world.occupancy[entry] = rid
     return rid
 
@@ -211,102 +204,75 @@ def resolve_conflicts(
     return executed
 
 
-def _emit_reports(state: SimState, live: list[int]) -> dict[int, list[Message]]:
-    """The outbox: per live robot, sense the target, update own knowledge,
-    deposit a sensed distance in the observer field, and build this tick's
-    messages (position report, target report when sensing, dance advert for
-    the BCO leader)."""
+Sensed = dict[int, tuple[HexCoord, int]]  # sensing robot -> (cell, target distance)
+
+
+def _emit_reports(state: SimState, live: list[int]) -> tuple[
+    dict[int, list[Message]], Sensed, Optional[list[int]], Optional[DanceAdvert]
+]:
+    """Per live robot: sense the target, update own knowledge, deposit a
+    sensed distance in the observer field, and send this tick's messages
+    (position report, target report when sensing, dance advert for the BCO
+    leader), seqs in that order. What they report is written once, as the
+    tables listeners read. Returns the outbox; each sensing robot's (cell,
+    distance); for the GA only, per Direction, the mask of the robots that
+    moved that way; and the leader's advert, its strength a snapshot taken
+    here."""
     cfg = state.config
     geometry = state.world.geometry
-    outbox = {}
+    leader = state.board.leader if state.board is not None else None
+    moved = [0] * 6 if cfg.controller == "ga" else None
+    outbox, sensed, advert = {}, {}, None
     for rid in live:
         robot = state.robots[rid]
-        msgs = [
-            Message(
-                rid,
-                robot.take_seq(),
-                POSITION_REPORT,
-                PositionReport(robot.pos, robot.heading, robot.last_speed),
-                cfg.ttl,
-            )
-        ]
+        msgs = [Message(rid, robot.take_seq(), cfg.ttl)]  # position report
+        if moved is not None and robot.last_speed >= 1:
+            moved[robot.heading] |= 1 << rid
         own_d = geometry[robot.pos][TARGET_DISTANCE]
         if own_d <= cfg.sensing_radius:
             if robot.known_target_distance is None or own_d < robot.known_target_distance:
                 robot.known_target_distance = own_d
-            msgs.append(
-                Message(rid, robot.take_seq(), TARGET_REPORT, TargetReport(own_d, state.tick), cfg.ttl)
-            )
+            msgs.append(Message(rid, robot.take_seq(), cfg.ttl))  # target report
+            sensed[rid] = (robot.pos, own_d)
             if state.global_pher is not None:
                 state.global_pher.deposit(state.world, robot.pos, own_d)
-        if state.board is not None and state.board.leader == rid:
-            msgs.append(
-                Message(
-                    rid,
-                    robot.take_seq(),
-                    DANCE_ADVERT,
-                    DanceAdvert(rid, robot.heading, dance_strength(robot.known_target_distance)),
-                    cfg.ttl,
-                )
-            )
+        if rid == leader:
+            msgs.append(Message(rid, robot.take_seq(), cfg.ttl))  # dance advert
+            advert = DanceAdvert(rid, robot.heading, dance_strength(robot.known_target_distance))
         outbox[rid] = msgs
-    return outbox
+    return outbox, sensed, moved, advert
 
 
 def _assemble_observations(
-    state: SimState,
-    outbox: dict[int, list[Message]],
-    reach: dict[int, int],
-    masks: dict[int, int],
-) -> tuple[dict[int, Observation], dict[int, DanceBoard]]:
-    """Build per-robot observations from the messages each robot heard, merge
-    received deposits into ACO replicas, and collect heard dance adverts.
+    state: SimState, reach: dict[int, int], sensed: Sensed, moved: Optional[list[int]]
+) -> dict[int, Observation]:
+    """Build per-robot observations from the reports each robot heard, and
+    merge heard target reports into ACO replicas.
 
     Every live robot sends, all with ttl = cfg.ttl, over a symmetric comm
-    graph, so robot r hears exactly the origins in the mask reach[r]. Their
-    payloads are decoded once a tick, not re-read from the robots: an
-    advert's strength is a snapshot taken at emission. A listener walks the
-    heard origins with more than a position report, ascending, so a replica
-    gets its deposits in origin order.
-
-    Neighbor headings, read by the GA only, come from the heard robots that
-    actually moved: a stationary robot has no motion to align with.
+    graph, so robot r hears exactly the origins in the mask reach[r]. A
+    listener walks the heard origins that sensed the target, ascending, so a
+    replica gets its deposits in origin order. Heading counts, for the GA
+    only, are the heard bits of each of moved's masks: a stationary robot has
+    no motion to align with.
     """
-    ga = state.config.controller == "ga"
-    moved = {}  # origin -> (heading, speed), for the GA, of the robots that moved
-    talkers = {}  # origin -> (cell, target distance, dance advert) past its position report
-    for origin, msgs in outbox.items():
-        report = msgs[0].payload
-        if ga and report.speed >= 1:
-            moved[origin] = (report.heading, report.speed)
-        if len(msgs) > 1:
-            payloads = {msg.kind: msg.payload for msg in msgs[1:]}
-            target = payloads.get(TARGET_REPORT)
-            distance = None if target is None else target.distance
-            talkers[origin] = (report.cell, distance, payloads.get(DANCE_ADVERT))
-    moved_mask = sum(1 << origin for origin in moved)
-    talk = sum(1 << origin for origin in talkers)
+    sensed_mask = sum(1 << origin for origin in sensed)
     observations = {}
-    heard: dict[int, DanceBoard] = {}
-    for rid in outbox:
+    for rid, hears in reach.items():
         robot = state.robots[rid]
-        hears = reach[rid]
-        for origin in ids_of(hears & talk) if hears & talk else ():
-            cell, d, adv = talkers[origin]
-            if d is not None:
-                if robot.known_target_distance is None or d < robot.known_target_distance:
-                    robot.known_target_distance = d
-                if robot.pher is not None:  # trails carry target data
-                    robot.pher.deposit(state.world, cell, d)
-            if adv is not None:
-                heard[rid] = DanceBoard(adv.leader, adv.direction, adv.strength, state.tick)
+        heard = hears & sensed_mask
+        for origin in ids_of(heard) if heard else ():
+            cell, d = sensed[origin]
+            if robot.known_target_distance is None or d < robot.known_target_distance:
+                robot.known_target_distance = d
+            if robot.pher is not None:  # trails carry target data
+                robot.pher.deposit(state.world, cell, d)
         observations[rid] = Observation(
-            situation=robot.pos,
-            degree=masks[rid].bit_count(),
-            best_known_target_distance=robot.known_target_distance,
-            neighbor_headings=[moved[o] for o in ids_of(hears & moved_mask)] if ga else [],
+            robot.pos,
+            robot.known_target_distance,
+            tuple([(hears & mask).bit_count() for mask in moved]) if moved else (0,) * 6,
         )
-    return observations, heard
+    return observations
 
 
 def tick(state: SimState) -> None:
@@ -323,14 +289,14 @@ def tick(state: SimState) -> None:
             robot.live = False
             robot.scripted_removed = True
             del state.world.occupancy[robot.pos]
-        elif not robot.spawned and rid in state.pending_spawn:
+        elif rid in state.pending_spawn:
             state.pending_spawn.remove(rid)
             robot.scripted_removed = True
 
     spawn_step(state)
 
     live = state.live_ids()  # unchanged until arrival retirement
-    outbox = _emit_reports(state, live)
+    outbox, sensed, moved, advert = _emit_reports(state, live)
     # The comm graph carried from the last tick, less the robots that left
     # since; a robot it does not hold (the one spawned) is scanned in.
     live_mask = sum(1 << rid for rid in live)
@@ -344,11 +310,13 @@ def tick(state: SimState) -> None:
     reach: dict[int, int] = {}
     flood_until_quiet(masks, outbox, reach, state.tracker, t)
 
-    observations, heard = _assemble_observations(state, outbox, reach, masks)
+    observations = _assemble_observations(state, reach, sensed, moved)
 
     if cfg.controller == "bco":
-        # Only the current leader emits a dance advert, so any robot that
-        # heard one heard the leader.
+        # Only the current leader sends an advert. Over the symmetric comm
+        # graph, the robots that heard it are those its own messages reach.
+        heard = reach[advert.leader] if advert is not None else 0
+        dance = DanceBoard(advert.leader, advert.direction, advert.strength, t) if heard else None
         if heard:
             state.board.last_heard_tick = t
         if live:
@@ -375,7 +343,7 @@ def tick(state: SimState) -> None:
             if state.board is not None and state.board.leader == rid:
                 view = state.board
             else:
-                view = heard.get(rid)
+                view = dance if heard >> rid & 1 else None
             move = decide_move_bco(rid, robot.heading, obs, view, cfg.bco, state.world, rng)
         intents.append(MoveIntent(rid, move.direction, move.speed))
 

@@ -49,15 +49,13 @@ def fitness_table(obs: Observation, w: World, params: GaParams) -> list[float]:
     headings equal to the direction."""
     weight = params.alignment_weight
     known = obs.best_known_target_distance
-    heads = obs.neighbor_headings
-    counts = [0] * 6
-    for d, _ in heads:
-        counts[d] += 1
+    counts = obs.heading_counts
+    heard = sum(counts)
     geometry = w.geometry
     here = geometry[obs.situation]
     table = []
     for d in DIRECTIONS:
-        bonus = weight * counts[d] / len(heads) if heads else 0.0
+        bonus = weight * counts[d] / heard if heard else 0.0
         if known is None:
             table += (bonus, bonus, bonus)
             continue
@@ -174,7 +172,7 @@ def decide_move_ga(
     population or after the generation that drew it, and draws nothing
     more; generation_log gets the maximum for each generation not run.
     """
-    if obs.best_known_target_distance is None and not obs.neighbor_headings:
+    if obs.best_known_target_distance is None and not any(obs.heading_counts):
         pairs = feasible_moves(w, obs.situation)
         d, s = pairs[rng.randrange(len(pairs))]
         return Move(d, s)

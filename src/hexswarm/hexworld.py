@@ -67,14 +67,13 @@ class Move:
 
 @dataclass
 class Observation:
-    """What a robot knows when it decides: its cell, comm degree, best known
-    target distance (own sensing or relayed), and, for the GA only, the
-    headings of the heard robots that moved."""
+    """What a robot knows when it decides: its cell, best known target
+    distance (own sensing or relayed), and, for the GA only, how many of the
+    heard robots that moved went each way, indexed by Direction."""
 
     situation: HexCoord
-    degree: int
     best_known_target_distance: Optional[int] = None
-    neighbor_headings: list[tuple[Direction, int]] = field(default_factory=list)
+    heading_counts: tuple[int, ...] = (0,) * 6
 
 
 def hex_distance(a: HexCoord, b: HexCoord) -> int:

@@ -14,7 +14,7 @@ from hexswarm.aco import AcoParams, PheromoneField, transition_probs
 from hexswarm.bco import BcoParams, DanceBoard, Task, choose_task, elect_leader
 from hexswarm.cli import trace_csv
 from hexswarm.comms import TrackerLog, comm_neighbors, flood_until_quiet, ids_of, neighbor_masks
-from hexswarm.comms import Message, POSITION_REPORT
+from hexswarm.comms import Message
 from hexswarm import engine
 from hexswarm.config import parse_config
 from hexswarm.engine import (
@@ -38,6 +38,12 @@ from hexswarm.hexworld import (
 )
 
 SEEDS = range(1, 21)
+
+
+def heading_counts(directions) -> tuple[int, ...]:
+    """How many of directions go each way, indexed by Direction."""
+    directions = list(directions)
+    return tuple(directions.count(d) for d in range(6))
 
 
 def series_at(series, idx):
@@ -68,9 +74,9 @@ def capture_last_tick(monkeypatch):
     assemble, resolve = engine._assemble_observations, engine.resolve_conflicts
 
     def assemble_and_keep(state, *args):
-        observations, heard = assemble(state, *args)
+        observations = assemble(state, *args)
         last[id(state)] = (observations, {})
-        return observations, heard
+        return observations
 
     def keep_and_resolve(intents, state, rng):
         last[id(state)][1].update((it.robot_id, it) for it in intents)
@@ -146,12 +152,8 @@ def test_criterion_04_ga_elitism_never_regresses():
         r = rng.randint(max(-6, -q - 6), min(6, -q + 6))
         obs = Observation(
             situation=HexCoord(q, r),
-            degree=rng.randint(0, 5),
             best_known_target_distance=rng.randint(0, 15),
-            neighbor_headings=[
-                (Direction(rng.randrange(6)), rng.randint(1, 2))
-                for _ in range(rng.randrange(4))
-            ],
+            heading_counts=heading_counts(rng.randrange(6) for _ in range(rng.randrange(4))),
         )
         log = []
         decide_move_ga(obs, w, GaParams(), random.Random(trial), generation_log=log)
@@ -177,7 +179,6 @@ def test_criterion_05_aco_probability_and_evaporation_laws():
                 field.deposit(w, c, rng.choice((99, 0, 1, 3, 8)))
         obs = Observation(
             situation=cell,
-            degree=0,
             best_known_target_distance=rng.choice((None, rng.randint(0, 12))),
         )
         probs = transition_probs(cell, field, obs, w, AcoParams())
@@ -319,7 +320,7 @@ def test_criterion_09_flooding_matches_bfs_hop_oracle():
         for ttl in (1, 3, 5):
             reach = {}
             tracker = TrackerLog()
-            outbox = {origin: [Message(origin, 0, POSITION_REPORT, None, ttl)]}
+            outbox = {origin: [Message(origin, 0, ttl)]}
             flood_until_quiet(masks, outbox, reach, tracker)
             reached = {o: ids_of(mask) for o, mask in reach.items()}
             assert reached == {origin: sorted(r for r, h in hops.items() if 0 < h <= ttl)}
@@ -346,7 +347,6 @@ def test_criterion_10_conflict_resolution_safety():
         state.pending_spawn = list(range(n, 12))
         for rid, pos in enumerate(sorted(cells)):
             robot = state.robots[rid]
-            robot.spawned = True
             robot.live = True
             robot.pos = pos
             state.world.occupancy[pos] = rid
@@ -372,7 +372,6 @@ def _locality_state(controller, robot_count):
         placements[4] = HexCoord(-140, 0)  # outside everyone's component
     for rid, pos in placements.items():
         robot = state.robots[rid]
-        robot.spawned = True
         robot.live = True
         robot.pos = pos
         robot.heading = Direction(0)

@@ -115,7 +115,7 @@ class TestEvaporate:
 class TestTransitionProbs:
     def test_uniform_when_nothing_is_known(self):
         w = small_world()
-        obs = Observation(situation=HexCoord(0, 0), degree=0)
+        obs = Observation(situation=HexCoord(0, 0))
         probs = transition_probs(HexCoord(0, 0), PheromoneField(), obs, w, AcoParams())
         assert len(probs) == 6
         for _, p in probs:
@@ -126,7 +126,7 @@ class TestTransitionProbs:
         params = AcoParams(beta=0.0, floor=0.0)
         c = HexCoord(0, 0)
         f = PheromoneField(params, {step(c, Direction(2)): 5.0})
-        obs = Observation(situation=c, degree=0)
+        obs = Observation(situation=c)
         probs = dict(transition_probs(c, f, obs, w, params))
         assert probs[Direction(2)] == pytest.approx(1.0)
         assert sum(probs.values()) == pytest.approx(1.0)
@@ -137,7 +137,7 @@ class TestTransitionProbs:
         w = make_world(6, 1, HexCoord(1, 0), HexCoord(-3, 0))
         c = HexCoord(0, 0)
         f = PheromoneField(levels={step(c, d): 1.0 for d in DIRECTIONS})
-        obs = Observation(situation=c, degree=0, best_known_target_distance=1)
+        obs = Observation(situation=c, best_known_target_distance=1)
         probs = dict(transition_probs(c, f, obs, w, AcoParams(alpha=1.0, beta=2.0)))
         expected = {
             Direction(0): Fraction(6, 11),
@@ -163,7 +163,7 @@ class TestTransitionProbs:
             if not w.accessible(cell):
                 continue
             known = rng.choice((None, rng.randint(0, 10)))
-            obs = Observation(situation=cell, degree=0, best_known_target_distance=known)
+            obs = Observation(situation=cell, best_known_target_distance=known)
             probs = transition_probs(cell, f, obs, w, AcoParams())
             assert abs(sum(p for _, p in probs) - 1.0) < 1e-12
             assert all(p >= 0 for _, p in probs)
@@ -172,7 +172,7 @@ class TestTransitionProbs:
 
     def test_dead_end_raises(self):
         w = World(radius=1, margin=1, target=HexCoord(0, 0), entry=HexCoord(0, 0))
-        obs = Observation(situation=HexCoord(0, 0), degree=0)
+        obs = Observation(situation=HexCoord(0, 0))
         with pytest.raises(DeadEndError):
             transition_probs(HexCoord(0, 0), PheromoneField(), obs, w, AcoParams())
 
@@ -180,7 +180,7 @@ class TestTransitionProbs:
 class TestDecideMoveAco:
     def test_on_target_stays(self):
         w = small_world(HexCoord(2, 0))
-        obs = Observation(situation=HexCoord(2, 0), degree=0, best_known_target_distance=0)
+        obs = Observation(situation=HexCoord(2, 0), best_known_target_distance=0)
         mv = decide_move_aco(obs, PheromoneField(), w, AcoParams(), random.Random(0))
         assert mv.speed == 0
 
@@ -189,7 +189,7 @@ class TestDecideMoveAco:
         params = AcoParams(beta=0.0, floor=0.0)
         c = HexCoord(0, 0)
         f = PheromoneField(params, {step(c, Direction(2)): 5.0})
-        obs = Observation(situation=c, degree=0)
+        obs = Observation(situation=c)
         for seed in range(30):
             mv = decide_move_aco(obs, f, w, params, random.Random(seed))
             assert mv.direction == Direction(2)
@@ -197,7 +197,7 @@ class TestDecideMoveAco:
 
     def test_dead_end_becomes_stay(self):
         w = World(radius=1, margin=1, target=HexCoord(1, 0), entry=HexCoord(0, 0))
-        obs = Observation(situation=HexCoord(0, 0), degree=0)
+        obs = Observation(situation=HexCoord(0, 0))
         mv = decide_move_aco(obs, PheromoneField(), w, AcoParams(), random.Random(0))
         assert mv.speed == 0
 
@@ -205,7 +205,7 @@ class TestDecideMoveAco:
         # frozen from the first oracle run: inverse-CDF of Random(123).random()
         # over six equal slots
         w = small_world()
-        obs = Observation(situation=HexCoord(0, 0), degree=0)
+        obs = Observation(situation=HexCoord(0, 0))
         u = random.Random(123).random()
         expected_index = min(int(u * 6), 5)
         mv = decide_move_aco(obs, PheromoneField(), w, AcoParams(), random.Random(123))

@@ -63,7 +63,7 @@ class TestDecideMoveBco:
     def test_leader_adjacent_to_known_target_points_at_it(self):
         w = small_world(HexCoord(3, 0))
         board = DanceBoard(leader=1, advertised_direction=Direction(2), strength=0.5, last_heard_tick=0)
-        obs = Observation(situation=HexCoord(2, 0), degree=0, best_known_target_distance=1)
+        obs = Observation(situation=HexCoord(2, 0), best_known_target_distance=1)
         mv = decide_move_bco(1, Direction(4), obs, board, BcoParams(), w, random.Random(0))
         assert step(obs.situation, mv.direction) == w.target
         assert mv.speed == 1
@@ -71,7 +71,7 @@ class TestDecideMoveBco:
     def test_follower_follows_the_advertised_direction(self):
         w = small_world()
         board = DanceBoard(leader=0, advertised_direction=Direction(5), strength=1.0, last_heard_tick=0)
-        obs = Observation(situation=HexCoord(0, 0), degree=1)
+        obs = Observation(situation=HexCoord(0, 0))
         for seed in range(30):
             mv = decide_move_bco(7, Direction(1), obs, board, BcoParams(), w, random.Random(seed))
             assert mv.direction == Direction(5)
@@ -82,7 +82,7 @@ class TestDecideMoveBco:
         rim = HexCoord(5, 0)  # accessible edge; direction 0 leads outside
         board = DanceBoard(leader=0, advertised_direction=Direction(0), strength=0.0, last_heard_tick=0)
         params = BcoParams(scout_prob=0.0)  # strength 0 -> never Follow, never Scout
-        obs = Observation(situation=rim, degree=0)
+        obs = Observation(situation=rim)
         for seed in range(50):
             mv = decide_move_bco(3, Direction(0), obs, board, params, w, random.Random(seed))
             assert mv.speed == 1
@@ -91,14 +91,14 @@ class TestDecideMoveBco:
 
     def test_on_target_stays(self):
         w = small_world(HexCoord(2, 0))
-        obs = Observation(situation=HexCoord(2, 0), degree=0, best_known_target_distance=0)
+        obs = Observation(situation=HexCoord(2, 0), best_known_target_distance=0)
         mv = decide_move_bco(5, Direction(1), obs, None, BcoParams(), w, random.Random(0))
         assert mv.speed == 0
 
     def test_uninformed_leader_scouts_feasibly(self):
         w = small_world()
         board = DanceBoard(leader=2, advertised_direction=Direction(0), strength=0.0, last_heard_tick=0)
-        obs = Observation(situation=HexCoord(5, 0), degree=0)
+        obs = Observation(situation=HexCoord(5, 0))
         for seed in range(50):
             mv = decide_move_bco(2, Direction(0), obs, board, BcoParams(), w, random.Random(seed))
             assert mv.speed == 1
@@ -107,7 +107,7 @@ class TestDecideMoveBco:
 
 class TestElectLeader:
     def obs(self, dist):
-        return Observation(situation=HexCoord(0, 0), degree=0, best_known_target_distance=dist)
+        return Observation(situation=HexCoord(0, 0), best_known_target_distance=dist)
 
     def test_live_recent_leader_is_kept(self):
         board = DanceBoard(leader=2, advertised_direction=Direction(1), strength=0.5, last_heard_tick=95)

@@ -250,6 +250,34 @@ class TestExitStatuses:
         assert capsys.readouterr().err.startswith("hexswarm: error: removals: robot 3 ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "text,line,key",
+        [
+            ("seed = \u0663", 1, "seed"),  # an Arabic-Indic three
+            ("seed = 1_000", 1, "seed"),
+            ("robots = 020", 1, "robots"),
+            ("ttl = +5", 1, "ttl"),
+            ("comm_range = \uff12", 1, "comm_range"),  # a fullwidth two
+            ("target = \u0663,0", 1, "target"),
+            ("[ga]\ncrossover_prob = 1e-400", 2, "crossover_prob"),
+            ("[aco]\nalpha = 1_0.5", 2, "alpha"),
+        ],
+    )
+    def test_number_outside_the_ascii_grammar_names_line_and_key(
+        self, tmp_path, capsys, text, line, key
+    ):
+        scenario = write_scenario(tmp_path, text + "\n")
+        assert main(["--scenario", scenario, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"hexswarm: error: line {line}: bad value for '{key}': ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--ticks", "\uff12"), ("--batch", "0_2")])
+    def test_flag_outside_the_ascii_grammar_names_the_flag(self, tmp_path, capsys, flag, value):
+        assert main([flag, value, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"hexswarm: error: argument {flag}: ")
+        assert not (tmp_path / "out").exists()
+
     def test_success_exit_zero(self, tmp_path):
         scenario = write_scenario(
             tmp_path, "robots = 1\nradius = 6\nmargin = 1\ntarget = 1,0\nentry = 0,0\n"

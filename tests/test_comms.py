@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexswarm.comms import (
-    POSITION_REPORT,
+    DanceAdvert,
     DeliveryCount,
     Message,
     TrackerLog,
@@ -27,13 +27,13 @@ from hexswarm.comms import (
     new_mailboxes,
     send,
 )
-from hexswarm.hexworld import HexCoord, accessible_cells, hex_distance, make_world
+from hexswarm.hexworld import Direction, HexCoord, accessible_cells, hex_distance, make_world
 
 PROPERTY = settings(max_examples=300, deadline=None, database=None)
 
 
-def msg(origin=0, seq=0, ttl=5, payload=None):
-    return Message(origin, seq, POSITION_REPORT, payload, ttl)
+def msg(origin=0, seq=0, ttl=5):
+    return Message(origin, seq, ttl)
 
 
 def bfs_hops(positions, comm_range, origin):
@@ -66,6 +66,17 @@ def random_positions(rng, n, span=7):
     while len(cells) < n:
         cells.add(HexCoord(rng.randint(-span, span), rng.randint(-span, span)))
     return dict(enumerate(sorted(cells)))
+
+
+class TestDanceAdvert:
+    @pytest.mark.parametrize("strength", [-0.1, 1.5, float("nan")])
+    def test_strength_outside_0_to_1_is_rejected(self, strength):
+        with pytest.raises(ValueError, match=r"^dance strength must be in \[0,1\], got "):
+            DanceAdvert(0, Direction.E, strength)
+
+    @pytest.mark.parametrize("strength", [0.0, 1.0])
+    def test_strength_at_either_bound_is_accepted(self, strength):
+        assert DanceAdvert(3, Direction.W, strength).strength == strength
 
 
 class TestCommNeighbors:
@@ -310,7 +321,7 @@ def flood_cases(draw, ids=st.integers(0, 60), seqs=st.integers(0, 9)):
     sends = []
     for origin in draw(origins):
         for seq in draw(st.lists(seqs, min_size=1, max_size=3, unique=True)):
-            sends.append(Message(origin, seq, POSITION_REPORT, None, draw(st.integers(0, 5))))
+            sends.append(Message(origin, seq, draw(st.integers(0, 5))))
     return positions, comm_range, sends
 
 
@@ -430,7 +441,7 @@ class TestFloodUntilQuiet:
     ):
         """The engine's assumption: when every robot sends with one ttl, the
         origins robot r hears are exactly the robots r's own messages reach."""
-        sends = [Message(rid, 0, POSITION_REPORT, None, ttl) for rid in sorted(positions)]
+        sends = [Message(rid, 0, ttl) for rid in sorted(positions)]
         _, reach = flood_fresh(positions, comm_range, sends)
 
         boxes = new_mailboxes(positions)

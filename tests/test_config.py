@@ -1,5 +1,7 @@
 """Scenario config parsing and validation tests."""
 
+import math
+import re
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -14,6 +16,8 @@ from hexswarm.config import (
     CONTROLLERS,
     ConfigError,
     ScenarioConfig,
+    ascii_float,
+    ascii_int,
     config_overrides,
     parse_config,
 )
@@ -300,3 +304,50 @@ class TestRoundTrip:
             if section or write_default():
                 lines += ["", f"[{name}]", *section]
         assert parse_config("\n".join(lines) + "\n") == cfg
+
+
+# The number grammar, stated apart from the parser: ASCII digits, an optional
+# '-', no leading zero on an integer part other than 0; a float may add a
+# fraction and an exponent, whose digits may start with zeros (repr(1e-05)).
+INT_GRAMMAR = r"-?(0|[1-9][0-9]*)"
+FLOAT_GRAMMAR = INT_GRAMMAR + r"(\.[0-9]+)?([eE][+-]?[0-9]+)?"
+NUMBERISH = st.text(alphabet="0123456789-+_.eE\u0663\uff12", max_size=8)
+
+
+def grammar_float(text):
+    """float(text) if the grammar takes text, else None: it must be finite,
+    and a literal with a nonzero digit before its exponent must not be 0.0."""
+    if not re.fullmatch(FLOAT_GRAMMAR, text):
+        return None
+    value = float(text)
+    nonzero = any(c in "123456789" for c in re.split("[eE]", text)[0])
+    if not math.isfinite(value) or (nonzero and value == 0.0):
+        return None
+    return value
+
+
+class TestNumberGrammar:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.one_of(NUMBERISH, st.from_regex(INT_GRAMMAR, fullmatch=True)))
+    def test_integer_text_parses_only_in_the_grammar(self, text):
+        if re.fullmatch(INT_GRAMMAR, text):
+            assert ascii_int(text) == int(text)
+        else:
+            with pytest.raises(ConfigError, match=r"^line 1: bad value for 'max_ticks': "):
+                parse_config(f"max_ticks = {text}\n")
+            with pytest.raises(ConfigError, match=r"^line 1: bad value for 'target': "):
+                parse_config(f"target = 1,{text}\n")
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.one_of(NUMBERISH, st.from_regex(FLOAT_GRAMMAR, fullmatch=True)))
+    def test_float_text_parses_only_in_the_grammar(self, text):
+        value = grammar_float(text)
+        if value is not None:
+            assert ascii_float(text) == value
+        else:
+            with pytest.raises(ConfigError, match=r"^line 2: bad value for 'alpha': "):
+                parse_config(f"[aco]\nalpha = {text}\n")
+
+    @pytest.mark.parametrize("text", ["1e-05", "5e-324", "1.7976931348623157e+308", "0e-400"])
+    def test_float_reprs_and_zero_literals_parse(self, text):
+        assert ascii_float(text) == float(text)

@@ -15,11 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexswarm import engine
-from hexswarm.bco import DanceBoard
+from hexswarm.bco import DanceBoard, dance_strength
 from hexswarm.comms import (
-    DANCE_ADVERT,
-    POSITION_REPORT,
-    TARGET_REPORT,
     comm_neighbors,
     connectivity_components,
     flood_until_quiet,
@@ -40,7 +37,7 @@ from hexswarm.engine import (
     spawn_step,
     tick,
 )
-from hexswarm.hexworld import Direction, HexCoord, Observation, hex_distance, step
+from hexswarm.hexworld import TARGET_DISTANCE, Direction, HexCoord, Observation, hex_distance, step
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -122,7 +119,7 @@ class TestSpawn:
                 state.robots[rid].pos = park
                 state.world.occupancy[park] = rid
         assert state.pending_spawn == []
-        assert all(r.spawned for r in state.robots.values())
+        assert all(r.live for r in state.robots.values())
 
     def test_spawn_heading_is_seed_stable(self):
         a = init_state(parse_config(cfg_text(seed=9)))
@@ -139,7 +136,6 @@ class TestResolveConflicts:
         state.pending_spawn.clear()
         for rid, pos in placements.items():
             robot = state.robots[rid]
-            robot.spawned = True
             robot.live = True
             robot.pos = pos
             state.world.occupancy[pos] = rid
@@ -240,7 +236,8 @@ class TestTick:
         for _ in range(40):
             tick(state)
             check_invariants(state)
-        assert not state.robots[19].spawned
+        assert state.robots[19].pos is None  # never spawned
+        assert 19 not in state.pending_spawn
         assert state.robots[19].scripted_removed
 
     def test_bco_has_exactly_one_leader_after_first_spawn(self):
@@ -375,8 +372,8 @@ def reference_components(positions, comm_range):
 def run_checking_the_comm_graph(text):
     """Run the scenario; at every tick the masks the flood gets, carried from
     the last tick, equal a fresh build over the live positions, and each
-    component and observed degree equals the all-pairs reference. Returns
-    the blocked spawns, arrivals and scripted removals of live robots seen."""
+    component equals the all-pairs reference. Returns the blocked spawns,
+    arrivals and scripted removals of live robots seen."""
     cfg = parse_config(text)
     state = init_state(cfg)
 
@@ -390,30 +387,20 @@ def run_checking_the_comm_graph(text):
             assert ids_of(mask) == sorted(comm_neighbors(positions, rid, cfg.comm_range))
         return flood_until_quiet(masks, *args)
 
-    def observe(*args):
-        observations, heard = assemble(*args)
-        positions = live_positions()
-        for rid, obs in observations.items():
-            assert obs.degree == len(comm_neighbors(positions, rid, cfg.comm_range))
-        return observations, heard
-
     def components(masks):
         got = connectivity_components(masks)
         assert got == reference_components(live_positions(), cfg.comm_range)
         return got
 
-    assemble = engine._assemble_observations
     blocked = arrived = removed = 0
     with mock.patch.object(engine, "flood_until_quiet", flood), mock.patch.object(
-        engine, "_assemble_observations", observe
-    ), mock.patch.object(engine, "connectivity_components", components):
+        engine, "connectivity_components", components
+    ):
         while state.tick < cfg.max_ticks:
             was_live = state.live_ids()
             waiting = state.pending_spawn[:1]
             tick(state)
-            blocked += bool(waiting) and not (
-                state.robots[waiting[0]].spawned or state.robots[waiting[0]].scripted_removed
-            )
+            blocked += bool(waiting) and waiting[0] in state.pending_spawn
             arrived += sum(state.robots[rid].arrived for rid in was_live)
             removed += sum(state.robots[rid].scripted_removed for rid in was_live)
             if not state.live_ids() and not state.pending_spawn:
@@ -436,75 +423,89 @@ class TestCarriedCommGraph:
         assert blocked and arrived and removed
 
 
-def reference_observations(state, outbox, reach, masks):
-    """Observation assembly decoded per listener: each robot walks every
-    origin it heard, ascending, through all of its messages, and collects
-    neighbor headings whatever the controller."""
-    observations = {}
-    heard = {}
-    for rid in outbox:
-        robot = state.robots[rid]
-        headings = []
+def reference_observations(state, twin, reach):
+    """Observation assembly rebuilt per listener from the heard robots
+    themselves: each live robot walks every origin it heard, ascending, and
+    reads that robot's position, heading, last speed, whether it senses the
+    target and whether it leads. Heading counts are made whatever the
+    controller. Listeners' knowledge and replicas are updated in twin, so
+    the origins in state stay as they were when they sent. Returns the
+    observations, the dance boards heard, and how many heard origins sensed
+    the target, per listener."""
+    cfg = state.config
+    geometry = state.world.geometry
+    leader = state.board.leader if state.board is not None else None
+    observations, heard, senders = {}, {}, {}
+    for rid in state.live_ids():
+        robot = twin.robots[rid]
+        counts = [0] * 6
+        senders[rid] = 0
         for origin in ids_of(reach[rid]):
-            for msg in outbox[origin]:  # its position report first: cell is the origin's
-                if msg.kind == POSITION_REPORT:
-                    if msg.payload.speed >= 1:
-                        headings.append((msg.payload.heading, msg.payload.speed))
-                    cell = msg.payload.cell
-                elif msg.kind == TARGET_REPORT:
-                    d = msg.payload.distance
-                    if robot.known_target_distance is None or d < robot.known_target_distance:
-                        robot.known_target_distance = d
-                    if robot.pher is not None:
-                        robot.pher.deposit(state.world, cell, d)
-                elif msg.kind == DANCE_ADVERT:
-                    adv = msg.payload
-                    heard[rid] = DanceBoard(adv.leader, adv.direction, adv.strength, state.tick)
-        observations[rid] = Observation(
-            situation=robot.pos,
-            degree=masks[rid].bit_count(),
-            best_known_target_distance=robot.known_target_distance,
-            neighbor_headings=headings,
-        )
-    return observations, heard
+            sender = state.robots[origin]
+            if sender.last_speed >= 1:
+                counts[sender.heading] += 1
+            d = geometry[sender.pos][TARGET_DISTANCE]
+            if d <= cfg.sensing_radius:
+                senders[rid] += 1
+                if robot.known_target_distance is None or d < robot.known_target_distance:
+                    robot.known_target_distance = d
+                if robot.pher is not None:
+                    robot.pher.deposit(state.world, sender.pos, d)
+            if origin == leader:
+                strength = dance_strength(sender.known_target_distance)
+                heard[rid] = DanceBoard(origin, sender.heading, strength, state.tick)
+        observations[rid] = Observation(robot.pos, robot.known_target_distance, tuple(counts))
+    return observations, heard, senders
 
 
 def run_against_the_reference_decode(scenario):
-    """Run a shipped scenario; at every tick the engine's observations, its
-    replicas' pheromone levels and the heard boards equal those of the
-    per-listener reference run on copies of the robots. Returns how often a
-    replica took deposits from two or more origins in one tick, and how many
-    adverts and neighbor headings were heard."""
+    """Run a shipped scenario; at every tick the engine's observations and
+    its replicas' pheromone levels equal those of the per-listener reference
+    run on copies of the robots, and each bco robot decides with the dance
+    board the reference says it heard. Returns how often a replica took
+    deposits from two or more origins in one tick, and how many adverts and
+    neighbor headings were heard."""
     cfg = parse_config((REPO / "scenarios" / scenario).read_text())
     state = init_state(cfg)
     assemble = engine._assemble_observations
+    decide_bco = engine.decide_move_bco
     made = {"two_origin_deposits": 0, "adverts": 0, "headings": 0}
+    want_heard = {}
 
-    def observe(state, outbox, reach, masks):
+    def observe(state, reach, *tables):
         twin = copy.copy(state)
         twin.robots = copy.deepcopy(state.robots)
-        want, want_heard = reference_observations(twin, outbox, reach, masks)
-        got, heard = assemble(state, outbox, reach, masks)
-        assert heard == want_heard
+        want, heard, senders = reference_observations(state, twin, reach)
+        want_heard.clear()
+        want_heard.update(heard)
+        got = assemble(state, reach, *tables)
         assert list(got) == list(want)
         for rid, obs in got.items():
             robot, ref = state.robots[rid], twin.robots[rid]
-            assert (obs.situation, obs.degree) == (want[rid].situation, want[rid].degree)
+            assert obs.situation == want[rid].situation
             assert obs.best_known_target_distance == want[rid].best_known_target_distance
             assert robot.known_target_distance == ref.known_target_distance
             if cfg.controller == "aco":  # float sums: equal only in the same order
                 assert list(robot.pher.levels.items()) == list(ref.pher.levels.items())
-                senders = [o for o in ids_of(reach[rid]) if outbox[o][1:2]]
-                made["two_origin_deposits"] += len(senders) >= 2
+                made["two_origin_deposits"] += senders[rid] >= 2
             if cfg.controller == "ga":
-                assert obs.neighbor_headings == want[rid].neighbor_headings
-                made["headings"] += len(obs.neighbor_headings)
+                assert obs.heading_counts == want[rid].heading_counts
+                made["headings"] += sum(obs.heading_counts)
             else:
-                assert obs.neighbor_headings == []
-        made["adverts"] += len(heard)
-        return got, heard
+                assert obs.heading_counts == (0,) * 6
+        return got
 
-    with mock.patch.object(engine, "_assemble_observations", observe):
+    def decide(rid, heading, obs, board, *args):
+        if state.board.leader == rid:
+            assert board is state.board
+        else:
+            assert board == want_heard.get(rid)
+            made["adverts"] += board is not None
+        return decide_bco(rid, heading, obs, board, *args)
+
+    with mock.patch.object(engine, "_assemble_observations", observe), mock.patch.object(
+        engine, "decide_move_bco", decide
+    ):
         while state.tick < cfg.max_ticks:
             tick(state)
             if not state.live_ids() and not state.pending_spawn:
@@ -527,7 +528,7 @@ def place(state, rid, cell):
     """Spawn-like placement of pending robot rid on cell."""
     state.pending_spawn.remove(rid)
     robot = state.robots[rid]
-    robot.spawned = robot.live = True
+    robot.live = True
     robot.pos = cell
     state.world.occupancy[cell] = rid
 

@@ -32,6 +32,12 @@ from hexswarm.hexworld import (
 )
 
 
+def heading_counts(directions) -> tuple[int, ...]:
+    """How many of directions go each way, indexed by Direction."""
+    directions = list(directions)
+    return tuple(directions.count(d) for d in range(6))
+
+
 def world_with_target(target=HexCoord(0, 0), radius=10, margin=0):
     entry = HexCoord(-radius + margin + 1, 0)
     if entry == target:
@@ -55,16 +61,15 @@ class TestFitness:
         w = world_with_target()
         obs = Observation(
             situation=HexCoord(3, 0),
-            degree=2,
             best_known_target_distance=3,
-            neighbor_headings=[(Direction(1), 1), (Direction(2), 1)],
+            heading_counts=(0, 1, 1, 0, 0, 0),
         )
         got = fitness(Chromosome(Direction(1), 0), obs, w)
         assert got == pytest.approx(0.25 * 0.5)
 
     def test_two_steps_toward_known_target_improves_by_two(self):
         w = world_with_target(HexCoord(0, 0))
-        obs = Observation(situation=HexCoord(-5, 0), degree=0, best_known_target_distance=5)
+        obs = Observation(situation=HexCoord(-5, 0), best_known_target_distance=5)
         got = fitness(Chromosome(Direction(0), 2), obs, w)
         assert got == pytest.approx(2.0)
 
@@ -72,8 +77,7 @@ class TestFitness:
         w = world_with_target()
         obs = Observation(
             situation=HexCoord(2, 2),
-            degree=4,
-            neighbor_headings=[(Direction(2), 1)] * 4,
+            heading_counts=(0, 0, 4, 0, 0, 0),
         )
         assert fitness(Chromosome(Direction(2), 1), obs, w) == pytest.approx(0.25)
 
@@ -212,7 +216,7 @@ class TestFeasibleMoves:
 class TestDecideMoveGa:
     def test_bootstrap_is_uniform_over_feasible_pairs(self):
         w = world_with_target(HexCoord(0, 0))
-        obs = Observation(situation=HexCoord(2, 2), degree=0)
+        obs = Observation(situation=HexCoord(2, 2))
         pairs = feasible_moves(w, obs.situation)
         counts = {}
         for i in range(6000):
@@ -227,7 +231,7 @@ class TestDecideMoveGa:
         # elitism pins the final best there; with no alignment bonus the
         # integer improvement cannot go negative.
         w = world_with_target(HexCoord(0, 0))
-        obs = Observation(situation=HexCoord(1, 0), degree=0, best_known_target_distance=1)
+        obs = Observation(situation=HexCoord(1, 0), best_known_target_distance=1)
         for seed in range(200):
             mv = decide_move_ga(obs, w, GaParams(), random.Random(seed))
             land, _ = walk(w, obs.situation, mv.direction, mv.speed)
@@ -237,7 +241,7 @@ class TestDecideMoveGa:
         centre = HexCoord(0, 0)
         open_dir = Direction(4)
         w = PocketWorld({centre, step(centre, open_dir)}, target=step(centre, open_dir))
-        obs = Observation(situation=centre, degree=0, best_known_target_distance=1)
+        obs = Observation(situation=centre, best_known_target_distance=1)
         for seed in range(100):
             mv = decide_move_ga(obs, w, GaParams(), random.Random(seed))
             assert mv.direction == open_dir or mv.speed == 0
@@ -246,9 +250,8 @@ class TestDecideMoveGa:
         w = world_with_target(HexCoord(3, -2))
         obs = Observation(
             situation=HexCoord(-1, 4),
-            degree=3,
             best_known_target_distance=7,
-            neighbor_headings=[(Direction(0), 1), (Direction(2), 2), (Direction(0), 1)],
+            heading_counts=(2, 0, 1, 0, 0, 0),
         )
         a = decide_move_ga(obs, w, GaParams(), random.Random(99))
         b = decide_move_ga(obs, w, GaParams(), random.Random(99))
@@ -260,12 +263,8 @@ class TestDecideMoveGa:
         for trial in range(300):
             obs = Observation(
                 situation=HexCoord(rng.randint(-5, 5), rng.randint(-3, 3)),
-                degree=rng.randint(0, 5),
                 best_known_target_distance=rng.randint(0, 12),
-                neighbor_headings=[
-                    (Direction(rng.randrange(6)), rng.randrange(3))
-                    for _ in range(rng.randrange(4))
-                ],
+                heading_counts=heading_counts(rng.randrange(6) for _ in range(rng.randrange(4))),
             )
             log = []
             decide_move_ga(obs, w, GaParams(), random.Random(trial), generation_log=log)
@@ -277,7 +276,7 @@ class TestDecideMoveGa:
         w = world_with_target(HexCoord(0, 0), radius=4, margin=1)
         for seed in range(100):
             cell = HexCoord(3, 0)  # on the accessible rim
-            obs = Observation(situation=cell, degree=0, best_known_target_distance=3)
+            obs = Observation(situation=cell, best_known_target_distance=3)
             mv = decide_move_ga(obs, w, GaParams(), random.Random(seed))
             pos = cell
             for _ in range(mv.speed):
@@ -329,7 +328,7 @@ def test_inlined_loop_draws_like_the_public_operators():
         known = rng.choice((None, rng.randint(0, 12)))
         if known is None and not headings:
             known = rng.randint(0, 12)  # the bootstrap draws no evolution
-        obs = Observation(rng.choice(cells), len(headings), known, headings)
+        obs = Observation(rng.choice(cells), known, heading_counts(d for d, _ in headings))
         params = GaParams(
             population=rng.randint(2, 16),  # odd sizes keep both children of the last pair
             generations=rng.randint(1, 6),
@@ -362,8 +361,7 @@ def test_first_gene_at_the_maximum_ends_the_decision():
     """With every gene tied, the first gene drawn is the answer: two draws,
     and the same move and log as the full loop."""
     w = world_with_target(HexCoord(2, -1), radius=6, margin=1)
-    headings = [(Direction.E, 1), (Direction.W, 2)]
-    obs = Observation(HexCoord(0, 0), len(headings), None, headings)
+    obs = Observation(HexCoord(0, 0), None, heading_counts([Direction.E, Direction.W]))
     params = GaParams(alignment_weight=0.0)
     rng = CountingRandom(5)
     got_log, want_log = [], []
