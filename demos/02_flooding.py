@@ -9,7 +9,6 @@ Usage::
 
 from hexswarm import (
     HexCoord,
-    Message,
     TrackerLog,
     connectivity_components,
     flood_until_quiet,
@@ -28,8 +27,8 @@ def main():
     for ttl in (3, 7):
         tracker = TrackerLog()
         reach = {}
-        outbox = {0: [Message(0, 0, ttl)]}
-        flood_until_quiet(masks, outbox, reach, tracker)
+        outbox = {0: [0]}  # robot 0 sends its message seq 0
+        flood_until_quiet(masks, outbox, ttl, reach, tracker)
         entries = tracker.entries
         print(f"\nmessage from robot 0 with ttl {ttl}:")
         for rnd in range(1, max(e.hops for e in entries) + 1):

@@ -17,7 +17,6 @@ from .bco import (
     elect_leader,
 )
 from .comms import (
-    DanceAdvert,
     DeliveryCount,
     Message,
     TrackerLog,

@@ -38,6 +38,10 @@ class DanceBoard:
     strength: float
     last_heard_tick: int
 
+    def __post_init__(self):
+        if not 0.0 <= self.strength <= 1.0:
+            raise ValueError(f"dance strength must be in [0,1], got {self.strength}")
+
 
 @dataclass
 class BcoParams:

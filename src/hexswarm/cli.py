@@ -129,10 +129,11 @@ def stream_run(cfg: ScenarioConfig, out_dir: Path, suffix: str = "") -> RunResul
 def _load_scenario(path: Optional[str]) -> ScenarioConfig:
     if path is None:
         return parse_config("")
-    p = Path(path)
-    if not p.is_file():
-        raise ConfigError(f"scenario: file not found: {path}")
-    return parse_config(p.read_text())
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:  # unreadable, or not UTF-8 text
+        raise ConfigError(f"scenario: {path}: {getattr(exc, 'strerror', None) or exc}") from exc
+    return parse_config(text)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -13,45 +13,36 @@ built by ``neighbor_masks`` from a grid of comm_range-wide buckets where
 each robot scans only the 3 x 3 buckets around its own; ``comm_neighbors``
 scans one robot against all others and is the reference.
 
-``flood_round`` runs one round over mailboxes, re-sends included, and is
-the reference. ``flood_until_quiet`` floods the messages each origin has
-just sent over the masks, round by round until none delivers: in round h
-each sender, ascending, relays each origin it got at hop h - 1, ascending,
-to the neighbors that lack that origin's messages. So a robot at hop
-distance h gets them from its least-id neighbor at distance h - 1, and
-deliveries come out in the rounds' order (round, sender, origin, seq,
-relay), with nothing to sort. ``DeliveryCount`` only counts deliveries, so
-no row is formatted for it; ``TrackerLog`` hands tracker.csv rows to its
-``write``, which keeps them in memory unless it is given a file's.
+``flood_round`` runs one round over mailboxes of ``Message``s, each with its
+own ttl, re-sends included, and is the reference. ``flood_until_quiet``
+floods what a run sends, each origin's fresh seqs to the tick's one ttl,
+over the masks, round by round until none delivers: in round h each
+sender, ascending, relays each origin it got at hop h - 1, ascending, to
+the neighbors that lack that origin's messages. So a robot at hop distance
+h gets them from its least-id neighbor at distance h - 1, and deliveries
+come out in the rounds' order (round, sender, origin, seq, relay), with
+nothing to sort. ``DeliveryCount`` only counts deliveries, so no row is
+formatted for it; ``TrackerLog`` hands tracker.csv rows to its ``write``,
+which keeps them in memory unless it is given a file's.
 Rather than per-robot inboxes, the flood fills in each origin's reach, the
-mask of the robots within its messages' ttl: with one ttl for all, the comm
+mask of the robots within ttl hops of it: with one ttl for all, the comm
 graph's symmetry makes them the origins the origin hears. So a message needs
-no payload, only its (origin, seq) and ttl: a listener reads what the origins
-it hears report from tables the engine writes once a tick.
+no payload, only its (origin, seq): a listener reads what the origins it
+hears report from tables the engine writes once a tick.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
-from .hexworld import Direction, HexCoord, hex_distance
-
-
-@dataclass(frozen=True)
-class DanceAdvert:
-    leader: int
-    direction: Direction
-    strength: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.strength <= 1.0:
-            raise ValueError(f"dance strength must be in [0,1], got {self.strength}")
+from .hexworld import HexCoord, hex_distance
 
 
 class Message(NamedTuple):
-    """A message as the flood sees it, with no payload: what robots report,
-    the engine writes once a tick into the tables listeners read."""
+    """A message as the reference rounds (``send``, ``flood_round``) see it,
+    with a ttl of its own and no payload: what robots report, the engine
+    writes once a tick into the tables listeners read."""
 
     origin: int
     seq: int
@@ -239,36 +230,35 @@ def flood_round(
 
 def flood_until_quiet(
     masks: dict[int, int],
-    outbox: dict[int, list[Message]],
+    outbox: dict[int, Sequence[int]],
+    ttl: int,
     reach: dict[int, int],
     tracker: DeliveryCount,
     tick: int = 0,
 ) -> int:
-    """Flood each origin's freshly sent messages until no round delivers;
-    returns the number of deliveries.
+    """Flood each origin's freshly sent messages to ttl hops until no round
+    delivers; returns the number of deliveries.
 
     masks holds each robot's neighbors, as ``neighbor_masks`` builds them;
-    outbox maps an origin to its new messages, seqs distinct. reach[origin]
-    is set to the mask of the robots within the largest ttl of the origin's
-    messages, the origin excluded. The tracker gets every delivery in the
+    outbox maps an origin to the seqs of its new messages, ascending.
+    reach[origin] is set to the mask of the robots within ttl hops of the
+    origin, the origin excluded. The tracker gets every delivery in the
     order the rounds of ``flood_round`` make them.
     """
     keep = tracker.keeps_rows
-    sent = {}  # origin -> (largest ttl, (ttl, row head) per message, seq ascending)
+    heads = {}  # origin -> a row head per message, seq ascending (a count needs only len)
     reached = {}  # origin -> mask of the robots that hold its messages
-    queues = {}  # sender -> origins whose messages it relays this round
-    for origin, messages in outbox.items():
-        heads = [(msg.ttl, f"{tick},{origin},{msg.seq}," if keep else "") for msg in sorted(messages)]
-        sent[origin] = (max(heads)[0], heads)
+    for origin, seqs in outbox.items():
+        heads[origin] = [f"{tick},{origin},{seq}," for seq in seqs] if keep else seqs
         reached[origin] = 1 << origin
-        if sent[origin][0]:
-            queues[origin] = [origin]
+    queues = {origin: [origin] for origin in outbox} if ttl else {}  # sender -> origins
     lines = []
     total = 0
     rnd = 0
     while queues:
         rnd += 1
         tails = {1 << rid: f"{rid},{rnd}\n" for rid in masks} if keep else None  # a row's end
+        relays_on = rnd < ttl
         relayed = {}
         for sender in sorted(queues):
             mask = masks[sender]
@@ -277,24 +267,18 @@ def flood_until_quiet(
                 if not fresh:
                     continue
                 reached[origin] |= fresh
-                depth, heads = sent[origin]
-                count = fresh.bit_count()
-                relays = []
+                total += fresh.bit_count() * len(heads[origin])
                 rows = []
-                while fresh and (keep or rnd < depth):  # a count alone walks no bits
+                while fresh and (keep or relays_on):  # a count alone walks no bits
                     low = fresh & -fresh
-                    relays.append(low.bit_length() - 1)
+                    if relays_on:
+                        relayed.setdefault(low.bit_length() - 1, []).append(origin)
                     if keep:
                         rows.append(tails[low])
                     fresh ^= low
-                for ttl, head in heads:
-                    if ttl >= rnd:
-                        total += count
-                        if keep:
-                            lines.append(head + head.join(rows))
-                if rnd < depth:
-                    for relay in relays:
-                        relayed.setdefault(relay, []).append(origin)
+                if keep:
+                    for head in heads[origin]:
+                        lines.append(head + head.join(rows))
         queues = relayed
     for origin, mask in reached.items():
         reach[origin] = mask ^ (1 << origin)

@@ -115,7 +115,8 @@ def parse_config(text: str) -> ScenarioConfig:
     section = None
     target, parsers, seen_keys = cfg, _TOP_PARSERS, set()
     seen_sections = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # Lines end at "\n" alone, as editors split them; strip drops CRLF's "\r".
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

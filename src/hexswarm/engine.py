@@ -32,9 +32,7 @@ from typing import Optional
 from .aco import PheromoneField, decide_move_aco
 from .bco import DanceBoard, dance_strength, decide_move_bco, elect_leader
 from .comms import (
-    DanceAdvert,
     DeliveryCount,
-    Message,
     TrackerLog,
     comm_neighbors,
     connectivity_components,
@@ -94,11 +92,6 @@ class Robot:
     known_target_distance: Optional[int] = None
     next_seq: int = 0
     pher: Optional[PheromoneField] = None  # ACO replica
-
-    def take_seq(self) -> int:
-        n = self.next_seq
-        self.next_seq += 1
-        return n
 
 
 @dataclass
@@ -208,15 +201,16 @@ Sensed = dict[int, tuple[HexCoord, int]]  # sensing robot -> (cell, target dista
 
 
 def _emit_reports(state: SimState, live: list[int]) -> tuple[
-    dict[int, list[Message]], Sensed, Optional[list[int]], Optional[DanceAdvert]
+    dict[int, range], Sensed, Optional[list[int]], Optional[DanceBoard]
 ]:
     """Per live robot: sense the target, update own knowledge, deposit a
-    sensed distance in the observer field, and send this tick's messages
+    sensed distance in the observer field, and number this tick's messages
     (position report, target report when sensing, dance advert for the BCO
     leader), seqs in that order. What they report is written once, as the
-    tables listeners read. Returns the outbox; each sensing robot's (cell,
-    distance); for the GA only, per Direction, the mask of the robots that
-    moved that way; and the leader's advert, its strength a snapshot taken
+    tables listeners read. Returns the outbox, each robot's range of new
+    seqs; each sensing robot's (cell, distance); for the GA only, per
+    Direction, the mask of the robots that moved that way; and the leader's
+    advert as the board its hearers get, its strength a snapshot taken
     here."""
     cfg = state.config
     geometry = state.world.geometry
@@ -225,21 +219,23 @@ def _emit_reports(state: SimState, live: list[int]) -> tuple[
     outbox, sensed, advert = {}, {}, None
     for rid in live:
         robot = state.robots[rid]
-        msgs = [Message(rid, robot.take_seq(), cfg.ttl)]  # position report
+        sent = 1  # position report
         if moved is not None and robot.last_speed >= 1:
             moved[robot.heading] |= 1 << rid
         own_d = geometry[robot.pos][TARGET_DISTANCE]
         if own_d <= cfg.sensing_radius:
             if robot.known_target_distance is None or own_d < robot.known_target_distance:
                 robot.known_target_distance = own_d
-            msgs.append(Message(rid, robot.take_seq(), cfg.ttl))  # target report
+            sent += 1  # target report
             sensed[rid] = (robot.pos, own_d)
             if state.global_pher is not None:
                 state.global_pher.deposit(state.world, robot.pos, own_d)
         if rid == leader:
-            msgs.append(Message(rid, robot.take_seq(), cfg.ttl))  # dance advert
-            advert = DanceAdvert(rid, robot.heading, dance_strength(robot.known_target_distance))
-        outbox[rid] = msgs
+            sent += 1  # dance advert
+            strength = dance_strength(robot.known_target_distance)
+            advert = DanceBoard(rid, robot.heading, strength, state.tick)
+        outbox[rid] = range(robot.next_seq, robot.next_seq + sent)
+        robot.next_seq += sent
     return outbox, sensed, moved, advert
 
 
@@ -249,12 +245,12 @@ def _assemble_observations(
     """Build per-robot observations from the reports each robot heard, and
     merge heard target reports into ACO replicas.
 
-    Every live robot sends, all with ttl = cfg.ttl, over a symmetric comm
-    graph, so robot r hears exactly the origins in the mask reach[r]. A
-    listener walks the heard origins that sensed the target, ascending, so a
-    replica gets its deposits in origin order. Heading counts, for the GA
-    only, are the heard bits of each of moved's masks: a stationary robot has
-    no motion to align with.
+    Every live robot's messages flood to the one ttl cfg.ttl over a
+    symmetric comm graph, so robot r hears exactly the origins in the mask
+    reach[r]. A listener walks the heard origins that sensed the target,
+    ascending, so a replica gets its deposits in origin order. Heading
+    counts, for the GA only, are the heard bits of each of moved's masks: a
+    stationary robot has no motion to align with.
     """
     sensed_mask = sum(1 << origin for origin in sensed)
     observations = {}
@@ -308,7 +304,7 @@ def tick(state: SimState) -> None:
                 masks[rid] |= 1 << nb
                 masks[nb] |= 1 << rid
     reach: dict[int, int] = {}
-    flood_until_quiet(masks, outbox, reach, state.tracker, t)
+    flood_until_quiet(masks, outbox, cfg.ttl, reach, state.tracker, t)
 
     observations = _assemble_observations(state, reach, sensed, moved)
 
@@ -316,7 +312,6 @@ def tick(state: SimState) -> None:
         # Only the current leader sends an advert. Over the symmetric comm
         # graph, the robots that heard it are those its own messages reach.
         heard = reach[advert.leader] if advert is not None else 0
-        dance = DanceBoard(advert.leader, advert.direction, advert.strength, t) if heard else None
         if heard:
             state.board.last_heard_tick = t
         if live:
@@ -343,7 +338,7 @@ def tick(state: SimState) -> None:
             if state.board is not None and state.board.leader == rid:
                 view = state.board
             else:
-                view = dance if heard >> rid & 1 else None
+                view = advert if heard >> rid & 1 else None
             move = decide_move_bco(rid, robot.heading, obs, view, cfg.bco, state.world, rng)
         intents.append(MoveIntent(rid, move.direction, move.speed))
 

@@ -14,7 +14,6 @@ from hexswarm.aco import AcoParams, PheromoneField, transition_probs
 from hexswarm.bco import BcoParams, DanceBoard, Task, choose_task, elect_leader
 from hexswarm.cli import trace_csv
 from hexswarm.comms import TrackerLog, comm_neighbors, flood_until_quiet, ids_of, neighbor_masks
-from hexswarm.comms import Message
 from hexswarm import engine
 from hexswarm.config import parse_config
 from hexswarm.engine import (
@@ -320,8 +319,7 @@ def test_criterion_09_flooding_matches_bfs_hop_oracle():
         for ttl in (1, 3, 5):
             reach = {}
             tracker = TrackerLog()
-            outbox = {origin: [Message(origin, 0, ttl)]}
-            flood_until_quiet(masks, outbox, reach, tracker)
+            flood_until_quiet(masks, {origin: [0]}, ttl, reach, tracker)
             reached = {o: ids_of(mask) for o, mask in reach.items()}
             assert reached == {origin: sorted(r for r, h in hops.items() if 0 < h <= ttl)}
             for rid in positions:

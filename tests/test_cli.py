@@ -3,6 +3,8 @@
 import json
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -234,6 +236,27 @@ class TestExitStatuses:
     def test_missing_scenario_file_is_usage_error(self, tmp_path, capsys):
         assert main(["--scenario", str(tmp_path / "nope.cfg")]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["not_utf8", "directory"])
+    def test_unreadable_scenario_fails_in_one_line(self, tmp_path, kind):
+        scenario, out = tmp_path / "scenario.cfg", tmp_path / "out"
+        if kind == "directory":
+            scenario.mkdir()
+        else:
+            scenario.write_bytes(b"robots = 4\n# \xff\n")
+        path = os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "hexswarm.cli", "--scenario", str(scenario), "--out", str(out)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"hexswarm: error: scenario: {scenario}: ")
+        assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_bad_flag_is_usage_error(self, capsys):
         assert main(["--frobnicate"]) == 1

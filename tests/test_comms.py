@@ -13,8 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hexswarm.bco import DanceBoard
 from hexswarm.comms import (
-    DanceAdvert,
     DeliveryCount,
     Message,
     TrackerLog,
@@ -69,14 +69,16 @@ def random_positions(rng, n, span=7):
 
 
 class TestDanceAdvert:
+    """The leader's advert is the DanceBoard its hearers get."""
+
     @pytest.mark.parametrize("strength", [-0.1, 1.5, float("nan")])
     def test_strength_outside_0_to_1_is_rejected(self, strength):
         with pytest.raises(ValueError, match=r"^dance strength must be in \[0,1\], got "):
-            DanceAdvert(0, Direction.E, strength)
+            DanceBoard(0, Direction.E, strength, 0)
 
     @pytest.mark.parametrize("strength", [0.0, 1.0])
     def test_strength_at_either_bound_is_accepted(self, strength):
-        assert DanceAdvert(3, Direction.W, strength).strength == strength
+        assert DanceBoard(3, Direction.W, strength, 7).strength == strength
 
 
 class TestCommNeighbors:
@@ -170,14 +172,17 @@ class TestNeighborIndex:
 
 def flood_fresh(positions, comm_range, messages, tracker=None, tick=0):
     """flood_until_quiet over the neighbor masks of positions, every message
-    freshly sent by its origin; returns (deliveries, reach)."""
+    freshly sent by its origin with the one ttl they all have; returns
+    (deliveries, reach)."""
+    (ttl,) = {message.ttl for message in messages}
     outbox = {}
-    for message in messages:
-        outbox.setdefault(message.origin, []).append(message)
+    for message in sorted(messages):  # each origin's seqs ascending
+        outbox.setdefault(message.origin, []).append(message.seq)
     reach = {}
     made = flood_until_quiet(
         neighbor_masks(positions, comm_range),
         outbox,
+        ttl,
         reach,
         TrackerLog() if tracker is None else tracker,
         tick,
@@ -313,15 +318,17 @@ def flood_by_rounds(positions, boxes, comm_range, tracker, tick):
 @st.composite
 def flood_cases(draw, ids=st.integers(0, 60), seqs=st.integers(0, 9)):
     """Robots packed densely enough for many ties between relays, and 1-4
-    origins each freshly sending 1-3 messages with distinct seqs."""
+    origins each freshly sending 1-3 messages with distinct seqs, all with
+    one ttl."""
     cells = st.builds(HexCoord, st.integers(-4, 4), st.integers(-4, 4))
     positions = draw(st.dictionaries(ids, cells, min_size=2, max_size=16))
     comm_range = draw(st.integers(1, 3))
+    ttl = draw(st.integers(0, 5))
     origins = st.lists(st.sampled_from(sorted(positions)), min_size=1, max_size=4, unique=True)
     sends = []
     for origin in draw(origins):
         for seq in draw(st.lists(seqs, min_size=1, max_size=3, unique=True)):
-            sends.append(Message(origin, seq, draw(st.integers(0, 5))))
+            sends.append(Message(origin, seq, ttl))
     return positions, comm_range, sends
 
 
@@ -350,8 +357,8 @@ class TestFloodUntilQuiet:
         assert len(tracker) == len(rounds_tracker)
         assert sorted(reach) == sorted({m.origin for m in sends})
         for origin, got in reach.items():
-            widest = max((m for m in sends if m.origin == origin), key=lambda m: m.ttl)
-            assert ids_of(got) == delivered_to(boxes, widest.msg_id)
+            first = next(m for m in sends if m.origin == origin)
+            assert ids_of(got) == delivered_to(boxes, first.msg_id)
 
     @PROPERTY
     @given(flood_cases())
@@ -376,33 +383,26 @@ class TestFloodUntilQuiet:
         assert tracker.entries == rounds.entries
         return [(e.origin, e.seq, e.relay, e.hops) for e in tracker.entries], reach
 
-    def test_ttl_zero_beside_a_wider_message(self):
+    def test_ttl_zero_delivers_nothing_and_reaches_no_one(self):
         line = {i: HexCoord(i, 0) for i in range(4)}
-        rows, reach = self.flood_as_rounds_do(line, 1, [msg(0, 1, ttl=2), msg(0, 0, ttl=0)])
-        assert rows == [(0, 1, 1, 1), (0, 1, 2, 2)]
-        assert reach_ids(reach) == {0: [1, 2]}
-
-    def test_ttls_differ_within_one_origin(self):
-        line = {i: HexCoord(i, 0) for i in range(5)}
-        sends = [msg(0, 0, ttl=1), msg(0, 1, ttl=3), msg(0, 2, ttl=2)]
-        rows, reach = self.flood_as_rounds_do(line, 1, sends)
-        assert rows == [
-            (0, 0, 1, 1), (0, 1, 1, 1), (0, 2, 1, 1),
-            (0, 1, 2, 2), (0, 2, 2, 2),
-            (0, 1, 3, 3),
-        ]
-        assert reach_ids(reach) == {0: [1, 2, 3]}
+        sends = [msg(0, 0, ttl=0), msg(0, 1, ttl=0), msg(2, 0, ttl=0), msg(3, 4, ttl=0)]
+        tracker = TrackerLog()
+        made, reach = flood_fresh(line, 1, sends, tracker)
+        assert made == 0
+        assert tracker.parts == [""]  # one flood, no row
+        assert reach == {0: 0, 2: 0, 3: 0}
+        assert self.flood_as_rounds_do(line, 1, sends) == ([], reach)
 
     def test_messages_given_out_of_seq_order_come_out_seq_ascending(self):
         positions = {0: HexCoord(0, 0), 1: HexCoord(1, 0), 2: HexCoord(0, 1), 3: HexCoord(2, 0)}
-        sends = [msg(0, 5, ttl=2), msg(0, 2, ttl=2), msg(0, 9, ttl=2), msg(3, 1, ttl=1)]
+        sends = [msg(0, 5, ttl=2), msg(0, 2, ttl=2), msg(0, 9, ttl=2), msg(3, 1, ttl=2)]
         rows, reach = self.flood_as_rounds_do(positions, 1, sends)
         assert rows == [
             (0, 2, 1, 1), (0, 2, 2, 1), (0, 5, 1, 1), (0, 5, 2, 1), (0, 9, 1, 1), (0, 9, 2, 1),
             (3, 1, 1, 1),
-            (0, 2, 3, 2), (0, 5, 3, 2), (0, 9, 3, 2),
+            (0, 2, 3, 2), (0, 5, 3, 2), (0, 9, 3, 2), (3, 1, 0, 2), (3, 1, 2, 2),
         ]
-        assert reach_ids(reach) == {0: [1, 2, 3], 3: [1]}
+        assert reach_ids(reach) == {0: [1, 2, 3], 3: [0, 1, 2]}
 
     @PROPERTY
     @given(

@@ -140,6 +140,35 @@ class TestParseErrors:
             parse_config(f"[{section}]\n{key} = {value}\n")
 
 
+# Every character str.splitlines breaks at besides "\n", "\r" and "\r\n".
+OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+class TestLineBreaks:
+    """Scenario lines end where an editor ends them: at "\n", after an
+    optional "\r"."""
+
+    @pytest.mark.parametrize("brk", OTHER_LINE_BREAKS)
+    def test_a_comment_runs_to_the_newline(self, brk):
+        assert parse_config(f"# comment{brk}seed = 9\n") == ScenarioConfig()
+
+    @pytest.mark.parametrize("brk", OTHER_LINE_BREAKS)
+    def test_a_value_runs_to_the_newline(self, brk):
+        with pytest.raises(ConfigError, match=r"^line 1: bad value for 'robots': "):
+            parse_config(f"robots = 3{brk}max_ticks = 5\n")
+
+    @pytest.mark.parametrize("brk", OTHER_LINE_BREAKS)
+    def test_an_error_names_the_line_an_editor_shows(self, brk):
+        with pytest.raises(ConfigError, match=r"^line 2: unknown key 'bogus'$"):
+            parse_config(f"# note{brk}robots = 3\nbogus = 1\n")
+
+    def test_crlf_lines_parse_and_count(self):
+        cfg = parse_config("# crlf\r\nrobots = 3\r\nseed = 4\r\n")
+        assert (cfg.robots, cfg.seed) == (3, 4)
+        with pytest.raises(ConfigError, match=r"^line 3: unknown key 'bogus'$"):
+            parse_config("robots = 3\r\n\r\nbogus = 1\r\n")
+
+
 class TestValidation:
     def test_zero_robots_names_the_field(self):
         with pytest.raises(ConfigError, match="robots"):

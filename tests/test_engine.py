@@ -311,6 +311,43 @@ class TestRun:
             assert arrived == 5
 
 
+class TestTtlZero:
+    @pytest.mark.parametrize("controller", ["ga", "aco", "bco"])
+    def test_no_message_leaves_its_sender(self, controller):
+        """With ttl 0 nothing is delivered, so each robot knows no target
+        distance but those it sensed itself."""
+        cfg = parse_config(cfg_text(
+            controller=controller, robots=8, radius=6, margin=1, target="3,0", entry="-3,0",
+            sensing_radius=3, ttl=0, seed=5, max_ticks=80,
+        ))
+        emit, traced_tick = engine._emit_reports, engine.tick
+        own = {}  # robot -> least target distance it sensed
+        apart = 0  # ticks on which one robot knew a distance and another none
+
+        def sense_and_emit(state, live):
+            for rid in live:
+                d = state.world.geometry[state.robots[rid].pos][TARGET_DISTANCE]
+                if d <= cfg.sensing_radius:
+                    own[rid] = min(d, own.get(rid, d))
+            return emit(state, live)
+
+        def tick_and_check(state):
+            nonlocal apart
+            traced_tick(state)
+            check_invariants(state)
+            for rid, robot in state.robots.items():
+                assert robot.known_target_distance == own.get(rid)
+            known = {state.robots[rid].known_target_distance is None for rid in state.live_ids()}
+            apart += known == {True, False}
+
+        with mock.patch.object(engine, "_emit_reports", sense_and_emit), mock.patch.object(
+            engine, "tick", tick_and_check
+        ):
+            res = run(cfg)
+        assert res.summary["messages_delivered"] == 0
+        assert apart  # so a shared distance would have shown
+
+
 @st.composite
 def removal_scenarios(draw):
     """A small board, 2-12 robots and a removal script, timed while robots
