@@ -39,15 +39,7 @@ from .engine import (
     spawn_step,
     tick,
 )
-from .ga import (
-    Chromosome,
-    GaParams,
-    crossover,
-    decide_move_ga,
-    fitness,
-    mutate,
-    tournament_select,
-)
+from .ga import GaParams, decide_move_ga
 from .hexworld import (
     Direction,
     HexCoord,

@@ -3,8 +3,9 @@ optional ``[ga]`` / ``[aco]`` / ``[bco]`` section per controller block.
 
 Missing keys take the documented defaults; unknown keys, duplicate keys and
 repeated sections are rejected with their line number. Full-line comments
-start with '#'. Numbers are ASCII only, in one grammar shared with the CLI's
-integer flags (``ascii_int``, ``ascii_float``).
+start with '#'. Lines, keys, values and their parts may be padded with ASCII
+spaces and tabs only. Numbers are ASCII only, in one grammar shared with the
+CLI's integer flags (``ascii_int``, ``ascii_float``).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .ga import GaParams
 from .hexworld import HexCoord, WorldConfigError, make_world
 
 CONTROLLERS = ("ga", "aco", "bco")
+_PADDING = " \t"  # all that is trimmed; any other whitespace is part of the text
 
 
 class ConfigError(ValueError):
@@ -72,8 +74,8 @@ def ascii_float(text: str) -> float:
 def _int_pair(text: str, sep: str, form: str) -> tuple[int, int]:
     parts = text.split(sep)
     if len(parts) != 2:
-        raise ValueError(f"expected {form!r}, got {text.strip()!r}")
-    return ascii_int(parts[0].strip()), ascii_int(parts[1].strip())
+        raise ValueError(f"expected {form!r}, got {text.strip(_PADDING)!r}")
+    return ascii_int(parts[0].strip(_PADDING)), ascii_int(parts[1].strip(_PADDING))
 
 
 def _parse_coord(value: str) -> HexCoord:
@@ -81,7 +83,7 @@ def _parse_coord(value: str) -> HexCoord:
 
 
 def _parse_removals(value: str) -> list[tuple[int, int]]:
-    if not value.strip():
+    if not value.strip(_PADDING):
         return []
     return [_int_pair(chunk, ":", "tick:robot") for chunk in value.split(",")]
 
@@ -115,13 +117,13 @@ def parse_config(text: str) -> ScenarioConfig:
     section = None
     target, parsers, seen_keys = cfg, _TOP_PARSERS, set()
     seen_sections = set()
-    # Lines end at "\n" alone, as editors split them; strip drops CRLF's "\r".
+    # Lines end at "\n" alone, as editors split them, after CRLF's one "\r".
     for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
+        line = raw.removesuffix("\r").strip(_PADDING)
         if not line or line.startswith("#"):
             continue
         if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
+            section = line[1:-1].strip(_PADDING)
             if section not in _SECTION_PARSERS:
                 raise ConfigError(f"line {lineno}: unknown section [{section}]")
             if section in seen_sections:
@@ -129,9 +131,9 @@ def parse_config(text: str) -> ScenarioConfig:
             seen_sections.add(section)
             target, parsers, seen_keys = getattr(cfg, section), _SECTION_PARSERS[section], set()
             continue
-        key, eq, value = (s.strip() for s in line.partition("="))
+        key, eq, value = (s.strip(_PADDING) for s in line.partition("="))
         if not eq:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw.strip()!r}")
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         where = f" in [{section}]" if section else ""
         if key not in parsers:
             raise ConfigError(f"line {lineno}: unknown key {key!r}{where}")

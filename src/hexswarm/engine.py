@@ -25,8 +25,8 @@ from __future__ import annotations
 import _random
 import hashlib
 import random
-import statistics
 from dataclasses import dataclass, field
+from math import fsum
 from typing import Optional
 
 from .aco import PheromoneField, decide_move_aco
@@ -107,7 +107,6 @@ class SimState:
     world: World
     robots: dict[int, Robot]
     pending_spawn: list[int]
-    rng_root: int
     tick: int = 0
     board: Optional[DanceBoard] = None  # bco only
     tracker: DeliveryCount = field(default_factory=TrackerLog)  # delivery sink
@@ -138,7 +137,6 @@ def init_state(cfg: ScenarioConfig) -> SimState:
         world=world,
         robots=robots,
         pending_spawn=list(range(cfg.robots)),
-        rng_root=cfg.seed,
         global_pher=PheromoneField(cfg.aco) if cfg.controller == "aco" else None,
     )
 
@@ -154,18 +152,15 @@ def spawn_step(state: SimState) -> Optional[int]:
     robot = state.robots[rid]
     robot.live = True
     robot.pos = entry
-    robot.heading = Direction(derive_rng(state.rng_root, "spawn", rid).randrange(6))
+    robot.heading = Direction(derive_rng(state.config.seed, "spawn", rid).randrange(6))
     state.world.occupancy[entry] = rid
     return rid
 
 
-def resolve_conflicts(
-    intents: list[MoveIntent], state: SimState, rng: random.Random
-) -> list[tuple[int, int]]:
+def resolve_conflicts(intents: list[MoveIntent], state: SimState, rng: random.Random) -> None:
     """Execute intents in a uniformly random order; each robot walks unit
     steps until its speed is spent or the next cell is inaccessible or
-    occupied. Returns (robot_id, steps actually taken) pairs in execution
-    order.
+    occupied. Returns None: the steps a robot took are its last_speed.
 
     Priority keys are drawn per intent in ascending robot-id order, so the
     permutation is uniform yet dropping the highest id leaves the relative
@@ -176,7 +171,6 @@ def resolve_conflicts(
     keyed.sort(key=lambda k: (k[0], k[1]))
     occ = state.world.occupancy
     geometry = state.world.geometry
-    executed = []
     for _, _, intent in keyed:
         robot = state.robots[intent.robot_id]
         pos = robot.pos
@@ -193,8 +187,6 @@ def resolve_conflicts(
         robot.last_speed = steps
         if intent.speed >= 1:
             robot.heading = intent.direction
-        executed.append((intent.robot_id, steps))
-    return executed
 
 
 Sensed = dict[int, tuple[HexCoord, int]]  # sensing robot -> (cell, target distance)
@@ -329,7 +321,7 @@ def tick(state: SimState) -> None:
         obs = observations[rid]
         # One stream per decision, dropped once the controller returns, so a
         # controller may leave draws unmade (the GA stops at its answer).
-        rng = derive_rng(state.rng_root, "decide", t, rid)
+        rng = derive_rng(cfg.seed, "decide", t, rid)
         if cfg.controller == "ga":
             move = decide_move_ga(obs, state.world, cfg.ga, rng)
         elif cfg.controller == "aco":
@@ -342,7 +334,7 @@ def tick(state: SimState) -> None:
             move = decide_move_bco(rid, robot.heading, obs, view, cfg.bco, state.world, rng)
         intents.append(MoveIntent(rid, move.direction, move.speed))
 
-    resolve_conflicts(intents, state, derive_rng(state.rng_root, "conflict", t))
+    resolve_conflicts(intents, state, derive_rng(cfg.seed, "conflict", t))
 
     if cfg.controller == "aco":
         # A robot never smells its own trail: replicas got their deposits from
@@ -387,8 +379,11 @@ def tick(state: SimState) -> None:
             d = 0
         distances.append(d)
     state.trace.extend(rows)
-    state.median_series.append(float(statistics.median(distances)) if distances else None)
-    state.mean_series.append(statistics.fmean(distances) if distances else None)
+    # The floats statistics.median and fmean give, without importing statistics.
+    distances.sort()
+    n = len(distances)
+    state.median_series.append((distances[(n - 1) // 2] + distances[n // 2]) / 2 if n else None)
+    state.mean_series.append(fsum(distances) / n if n else None)
     state.component_series.append(max((len(c) for c in components), default=0))
 
     state.tick = t + 1

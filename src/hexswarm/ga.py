@@ -3,7 +3,9 @@
 Each tick a robot evolves a small population for a handful of generations
 and executes the fittest move. Fitness rewards reduction of the robot's
 best known distance to the target plus a bonus for aligning with the
-movement headings its neighbors reported.
+movement headings its neighbors reported. A run executes the GA as one
+inlined loop; its operators one by one (tournament selection, crossover,
+mutation) are the reference for its draw order, in ``tests/reference.py``.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from math import floor
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .hexworld import (
     DIRECTIONS,
@@ -25,11 +27,6 @@ from .hexworld import (
 )
 
 SPEEDS = (0, 1, 2)
-
-
-class Chromosome(NamedTuple):
-    direction: Direction
-    speed: int  # cells per tick, in {0, 1, 2}
 
 
 @dataclass
@@ -67,58 +64,6 @@ def fitness_table(obs: Observation, w: World, params: GaParams) -> list[float]:
                 row = geometry[nxt]
             table.append(known - row[TARGET_DISTANCE] + bonus)
     return table
-
-
-def fitness(ch: Chromosome, obs: Observation, w: World, params: GaParams | None = None) -> float:
-    """Fitness of one chromosome: its entry in fitness_table."""
-    return fitness_table(obs, w, params or GaParams())[ch.direction * 3 + ch.speed]
-
-
-def tournament_select(
-    pop: list[Chromosome],
-    fitnesses: list[float],
-    rng: random.Random,
-    k: int = 2,
-) -> Chromosome:
-    """k uniform draws with replacement; highest fitness wins, ties to the
-    lower population index."""
-    n = len(pop)
-    if n == 0:
-        raise ValueError("tournament_select: empty population")
-    best = int(rng.random() * n)
-    for _ in range(k - 1):
-        i = int(rng.random() * n)
-        if fitnesses[i] > fitnesses[best] or (fitnesses[i] == fitnesses[best] and i < best):
-            best = i
-    return pop[best]
-
-
-def crossover(
-    a: Chromosome, b: Chromosome, rng: random.Random, crossover_prob: float = 0.9
-) -> tuple[Chromosome, Chromosome]:
-    """Uniform per-gene crossover with complementary children."""
-    if rng.random() >= crossover_prob:
-        return a, b
-    if rng.random() < 0.5:
-        d1, d2 = a.direction, b.direction
-    else:
-        d1, d2 = b.direction, a.direction
-    if rng.random() < 0.5:
-        s1, s2 = a.speed, b.speed
-    else:
-        s1, s2 = b.speed, a.speed
-    return Chromosome(d1, s1), Chromosome(d2, s2)
-
-
-def mutate(ch: Chromosome, rng: random.Random, mutation_prob: float = 0.1) -> Chromosome:
-    """Each gene independently resampled uniformly from its domain."""
-    direction = ch.direction
-    speed = ch.speed
-    if rng.random() < mutation_prob:
-        direction = Direction(int(rng.random() * 6))
-    if rng.random() < mutation_prob:
-        speed = int(rng.random() * 3)
-    return Chromosome(direction, speed)
 
 
 def feasible_moves(w: World, start: HexCoord) -> list[tuple[Direction, int]]:
@@ -164,7 +109,7 @@ def decide_move_ga(
     selection, uniform crossover, and per-gene mutation with elitism of one
     over genes g = direction * 3 + speed, the indices of fitness_table, and
     returns the fittest gene as a move, speed truncated to its feasible
-    prefix.
+    prefix. It draws as the operators of ``tests/reference.py`` would.
 
     That gene is the first one drawn, in draw order, whose fitness is the
     table's maximum: elitism keeps it at index 0 from then on and nothing
@@ -181,9 +126,9 @@ def decide_move_ga(
     table = fitness_table(obs, w, params)
 
     # The loop below is the select -> crossover -> mutate cycle of the
-    # public operators, inlined over genes g = direction * 3 + speed, so a
-    # gene's fitness is table[g]. Crossover and mutation swap or redraw the
-    # direction part and the speed part of a gene. The rng draw order
+    # reference operators, inlined over genes g = direction * 3 + speed, so
+    # a gene's fitness is table[g]. Crossover and mutation swap or redraw
+    # the direction part and the speed part of a gene. The rng draw order
     # matches calling the operators directly, which the tests pin. floor
     # equals the operators' int on these non-negative draws and is the
     # cheaper call in CPython.

@@ -61,12 +61,10 @@ print(json.dumps(tracer.counts))
 """
 
 
-def test_traced_deliveries_match_the_summary(tmp_path):
-    """comms.deliveries adds up what flood_until_quiet returns; it must equal
-    the deliveries the run itself counts. Tracing is an observer: the same
-    run untraced writes byte-identical files."""
+def assert_tracing_is_an_observer(tmp_path, scenario):
+    """Runs scenario traced, then untraced, at seed 1 for 40 ticks."""
     traced, plain = tmp_path / "traced", tmp_path / "plain"
-    argv = ["--scenario", str(ROOT / "scenarios" / "bco_failover.cfg"), "--seed", "1"]
+    argv = ["--scenario", str(ROOT / "scenarios" / scenario), "--seed", "1"]
     argv += ["--ticks", "40"]
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
@@ -87,3 +85,18 @@ def test_traced_deliveries_match_the_summary(tmp_path):
     assert names == sorted(p.name for p in plain.iterdir())
     for name in names:
         assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
+    return names
+
+
+def test_traced_deliveries_match_the_summary(tmp_path):
+    """comms.deliveries adds up what flood_until_quiet returns; it must equal
+    the deliveries the run itself counts. Tracing is an observer: the same
+    run untraced writes byte-identical files."""
+    assert_tracing_is_an_observer(tmp_path, "bco_failover.cfg")
+
+
+@pytest.mark.parametrize("scenario", ["ga_default.cfg", "aco_trails.cfg"])
+def test_traced_deliveries_match_the_summary_for_every_controller(tmp_path, scenario):
+    """As above, for the other two controllers; aco also writes field.csv."""
+    names = assert_tracing_is_an_observer(tmp_path, scenario)
+    assert ("field.csv" in names) == (scenario == "aco_trails.cfg")

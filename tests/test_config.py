@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 from typing import get_type_hints
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from hexswarm.aco import AcoParams
 from hexswarm.bco import BcoParams
+from hexswarm.cli import main
 from hexswarm.config import (
     CONTROLLERS,
     ConfigError,
@@ -167,6 +169,71 @@ class TestLineBreaks:
         assert (cfg.robots, cfg.seed) == (3, 4)
         with pytest.raises(ConfigError, match=r"^line 3: unknown key 'bogus'$"):
             parse_config("robots = 3\r\n\r\nbogus = 1\r\n")
+
+
+# Every whitespace character but the padding (space, tab) and the line end
+# ("\n", after an optional "\r").
+OTHER_WHITESPACE = [
+    c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() and c not in " \t\n\r"
+]
+PAD = st.text(alphabet=" \t", max_size=2)
+
+
+class TestPadding:
+    """Lines, keys, values, section names and the parts of coordinates and
+    removals are trimmed of ASCII spaces and tabs only."""
+
+    @pytest.mark.parametrize(
+        "text,error",
+        [
+            ("\x1cseed = 9", "unknown key"),
+            ("seed = 9\x0c", "bad value for 'seed'"),
+            ("seed\u3000=\u30009", "unknown key"),
+            ("\xa0seed = 9", "unknown key"),
+            ("[\u3000ga ]", "unknown section"),
+            ("target = 20,\u30000", "bad value for 'target'"),
+        ],
+    )
+    def test_other_whitespace_is_not_padding(self, tmp_path, capsys, text, error):
+        with pytest.raises(ConfigError, match=rf"^line 1: {error}"):
+            parse_config(text + "\n")
+        scenario = tmp_path / "scenario.cfg"
+        scenario.write_bytes((text + "\n").encode("utf-8"))
+        assert main(["--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith(f"hexswarm: error: line 1: {error}")
+        assert not (tmp_path / "out").exists()
+
+    def test_spaces_and_tabs_pad_every_part(self):
+        text = "\t seed\t= 9 \r\ntarget = 5\t, -1 \nremovals = 3 :\t1 , 4:2\n[ ga\t]\r\n population =\t4\t\n"
+        cfg = parse_config(text)
+        assert (cfg.seed, cfg.ga.population, cfg.target) == (9, 4, HexCoord(5, -1))
+        assert cfg.removals == [(3, 1), (4, 2)]
+
+    @pytest.mark.parametrize("line", ["\u3000", " \t\u3000\t "])
+    def test_a_line_of_other_whitespace_shows_in_the_error(self, line):
+        with pytest.raises(ConfigError, match=r"^line 1: expected 'key = value', got '\\u3000'$"):
+            parse_config(line + "\n")
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.sampled_from(OTHER_WHITESPACE),
+        st.sampled_from(["before key", "after value", "before section", "after section"]),
+        st.sampled_from([("seed", "9"), ("robots", "4"), ("target", "5,-1"), ("removals", "3:1")]),
+        st.lists(PAD, min_size=4, max_size=4),
+    )
+    def test_other_whitespace_never_parses(self, c, where, key_value, pads):
+        key, value = key_value
+        a, b, d, e = pads
+        if where == "before key":
+            text = f"{a}{c}{b}{key}{d}={e}{value}\n"
+        elif where == "after value":
+            text = f"{a}{key}{b}={d}{value}{c}{e}\n"
+        elif where == "before section":
+            text = f"[{a}{c}{b}ga{d}]\n"
+        else:
+            text = f"[{a}ga{b}{c}{d}]\n"
+        with pytest.raises(ConfigError):
+            parse_config(text)
 
 
 class TestValidation:

@@ -29,3 +29,6 @@ def test_package_and_cli_import_only_the_standard_library():
     loaded = json.loads(proc.stdout)
     outside = [name for name in loaded if name not in sys.stdlib_module_names]
     assert outside == ["hexswarm"]
+    # The engine takes each tick's median and mean itself: statistics would
+    # load fractions and decimal with it.
+    assert [name for name in ("statistics", "fractions", "decimal") if name in loaded] == []

@@ -3,8 +3,10 @@ the tick phase contract, run termination, determinism, and invariants."""
 
 import copy
 import hashlib
+import json
 import os
 import random
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -296,6 +298,28 @@ class TestRun:
         assert len(res.summary["mean_distance"]) == n
         assert len(res.summary["largest_component"]) == n
         assert all(isinstance(v, float) for v in res.summary["median_distance"])
+
+    @pytest.mark.parametrize("scenario", sorted(p.name for p in (REPO / "scenarios").glob("*.cfg")))
+    def test_distance_series_are_the_statistics_of_the_trace(self, scenario):
+        """Each tick's distances, rebuilt from its trace rows with robots
+        that arrived on earlier ticks as 0, give the median and mean series
+        of statistics.median and statistics.fmean, to the byte summary.json
+        writes."""
+        res = run(parse_config((REPO / "scenarios" / scenario).read_text()))
+        dist_by_tick = {}
+        for row in res.trace:
+            dist_by_tick.setdefault(row[0], []).append(row[6])
+        arrived, medians, means, parities = 0, [], [], set()
+        for t in range(res.summary["ticks"]):
+            tick_distances = dist_by_tick.get(t, [])
+            distances = [0] * arrived + [0 if d <= engine.ARRIVAL_DISTANCE else d for d in tick_distances]
+            arrived += sum(d <= engine.ARRIVAL_DISTANCE for d in tick_distances)
+            parities.add(len(distances) % 2)
+            medians.append(float(statistics.median(distances)) if distances else None)
+            means.append(statistics.fmean(distances) if distances else None)
+        assert parities == {0, 1}  # odd and even counts both occur
+        assert json.dumps(res.summary["median_distance"]) == json.dumps(medians)
+        assert json.dumps(res.summary["mean_distance"]) == json.dumps(means)
 
     def test_all_robots_removed_is_extinction(self):
         removals = ", ".join(f"{5 + i}:{i}" for i in range(3))

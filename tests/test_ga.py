@@ -5,18 +5,7 @@ import random
 
 import pytest
 
-from hexswarm.ga import (
-    SPEEDS,
-    Chromosome,
-    GaParams,
-    crossover,
-    decide_move_ga,
-    feasible_moves,
-    fitness,
-    fitness_table,
-    mutate,
-    tournament_select,
-)
+from hexswarm.ga import SPEEDS, GaParams, decide_move_ga, feasible_moves, fitness_table
 from hexswarm.hexworld import (
     DIRECTIONS,
     Direction,
@@ -30,6 +19,7 @@ from hexswarm.hexworld import (
     step,
     walk,
 )
+from reference import Chromosome, crossover, fitness, mutate, tournament_select
 
 
 def heading_counts(directions) -> tuple[int, ...]:
@@ -285,7 +275,7 @@ class TestDecideMoveGa:
 
 
 def evolve_with_operators(obs, w, params, rng, generation_log):
-    """decide_move_ga's evolution rebuilt from the public operators: a
+    """decide_move_ga's evolution rebuilt from the reference operators: a
     population drawn as (int(r() * 6), int(r() * 3)), then per generation
     elitism of one, two tournaments, crossover, and mutation of each child
     that fits."""
