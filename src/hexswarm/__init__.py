@@ -28,7 +28,6 @@ from .comms import (
 )
 from .config import ConfigError, ScenarioConfig, parse_config
 from .engine import (
-    MoveIntent,
     Robot,
     RunResult,
     SimState,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .hexworld import (
     TARGET_DISTANCE,
@@ -61,11 +60,10 @@ class PheromoneField:
         self.levels[cell] = self.levels.get(cell, 0.0) + amount
         return self
 
-    def evaporate(self, rho: Optional[float] = None) -> "PheromoneField":
-        """Multiply every level by (1 - rho); near-zero entries are dropped."""
-        if rho is None:
-            rho = self.params.evaporation
-        keep = 1.0 - rho
+    def evaporate(self) -> "PheromoneField":
+        """Multiply every level by (1 - rho), rho the params' evaporation;
+        near-zero entries are dropped."""
+        keep = 1.0 - self.params.evaporation
         self.levels = {
             c: lv * keep for c, lv in self.levels.items() if lv * keep >= PRUNE_LEVEL
         }

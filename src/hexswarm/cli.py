@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -141,19 +142,27 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+class _Once(argparse.Action):
+    """Store a flag's value; a flag given twice is a usage error, as a
+    repeated key is in a scenario."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        given = vars(namespace).setdefault("_given", set())
+        if self.dest in given:
+            parser.error(f"argument {'/'.join(self.option_strings)}: given more than once")
+        given.add(self.dest)
+        setattr(namespace, self.dest, values)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="hexswarm", description=__doc__)
-    parser.add_argument("--scenario", help="scenario config file (defaults apply if omitted)")
-    parser.add_argument("--seed", type=ascii_int, help="root seed, overrides the config")
-    parser.add_argument("--controller", choices=("ga", "aco", "bco"), help="controller override")
-    parser.add_argument("--ticks", type=ascii_int, help="max tick count override")
-    parser.add_argument("--out", default="out", help="output directory (default: out)")
-    parser.add_argument(
-        "--batch",
-        type=ascii_int,
-        metavar="N",
-        help="run N consecutive seeds; one summary row per seed",
-    )
+    flag = functools.partial(parser.add_argument, action=_Once)
+    flag("--scenario", help="scenario config file (defaults apply if omitted)")
+    flag("--seed", type=ascii_int, help="root seed, overrides the config")
+    flag("--controller", choices=("ga", "aco", "bco"), help="controller override")
+    flag("--ticks", type=ascii_int, help="max tick count override")
+    flag("--out", default="out", help="output directory (default: out)")
+    flag("--batch", type=ascii_int, metavar="N", help="run N consecutive seeds, a row each")
     return parser
 
 

@@ -100,7 +100,9 @@ _PARSE_BY_TYPE = {
 
 def _key_parsers(cls: type) -> dict[str, Callable[[str], Any]]:
     types = get_type_hints(cls)
-    return {f.name: _PARSE_BY_TYPE[types[f.name]] for f in fields(cls) if f.name not in CONTROLLERS}
+    return {
+        f.name: _PARSE_BY_TYPE[types[f.name]] for f in fields(cls) if f.name not in CONTROLLERS
+    }
 
 
 # Each controller's parameters live in a [section] and a field named after it.

@@ -3,10 +3,12 @@
 Each tick runs fixed phases: scripted removals, spawn, report emission (plus
 observer deposits) into the tables listeners read, flooding to quiescence,
 observation assembly from each robot's reach over those tables (plus
-pheromone replica merge), leader election, controller decisions, conflict
-resolution, evaporation, then one pass of trace recording, arrival
-retirement and distances. Every phase after spawn reads the one live list
-taken there.
+pheromone replica merge), the decide phase, conflict resolution, then one
+pass of trace recording, arrival retirement and distances. Every phase after
+spawn reads the one live list taken there. The decide phase is one branch
+per controller, doing all of that controller's work: bco elects its leader
+first, and aco evaporates the fields after its decisions. Each branch hands
+conflict resolution a ``Move`` per live robot, keyed by robot id.
 
 A run hands its records to two sinks as it goes: each tick's trace rows to
 ``state.trace`` (``extend``) and each flood's deliveries to ``state.tracker``
@@ -44,7 +46,7 @@ from .comms import (
 )
 from .config import ScenarioConfig
 from .ga import decide_move_ga
-from .hexworld import TARGET_DISTANCE, Direction, HexCoord, Observation, World, make_world
+from .hexworld import TARGET_DISTANCE, Direction, HexCoord, Move, Observation, World, make_world
 
 STATUS_SUCCESS = "success"
 STATUS_TIMEOUT = "timeout"
@@ -82,7 +84,6 @@ def derive_rng(root_seed: int, *labels) -> random.Random:
 
 @dataclass
 class Robot:
-    id: int
     pos: Optional[HexCoord] = None
     heading: Direction = Direction.E
     last_speed: int = 0
@@ -92,13 +93,6 @@ class Robot:
     known_target_distance: Optional[int] = None
     next_seq: int = 0
     pher: Optional[PheromoneField] = None  # ACO replica
-
-
-@dataclass
-class MoveIntent:
-    robot_id: int
-    direction: Direction
-    speed: int
 
 
 @dataclass
@@ -128,16 +122,16 @@ class SimState:
 
 def init_state(cfg: ScenarioConfig) -> SimState:
     world = make_world(cfg.radius, cfg.margin, cfg.target, cfg.entry)
+    aco = cfg.controller == "aco"
     robots = {
-        rid: Robot(id=rid, pher=PheromoneField(cfg.aco) if cfg.controller == "aco" else None)
-        for rid in range(cfg.robots)
+        rid: Robot(pher=PheromoneField(cfg.aco) if aco else None) for rid in range(cfg.robots)
     }
     return SimState(
         config=cfg,
         world=world,
         robots=robots,
         pending_spawn=list(range(cfg.robots)),
-        global_pher=PheromoneField(cfg.aco) if cfg.controller == "aco" else None,
+        global_pher=PheromoneField(cfg.aco) if aco else None,
     )
 
 
@@ -157,36 +151,35 @@ def spawn_step(state: SimState) -> Optional[int]:
     return rid
 
 
-def resolve_conflicts(intents: list[MoveIntent], state: SimState, rng: random.Random) -> None:
-    """Execute intents in a uniformly random order; each robot walks unit
+def resolve_conflicts(moves: dict[int, Move], state: SimState, rng: random.Random) -> None:
+    """Execute each robot's move in a uniformly random order; it walks unit
     steps until its speed is spent or the next cell is inaccessible or
     occupied. Returns None: the steps a robot took are its last_speed.
 
-    Priority keys are drawn per intent in ascending robot-id order, so the
+    Priority keys are drawn per move in ascending robot-id order, so the
     permutation is uniform yet dropping the highest id leaves the relative
     order of the rest untouched.
     """
-    ordered = sorted(intents, key=lambda it: it.robot_id)
-    keyed = [(rng.random(), it.robot_id, it) for it in ordered]
-    keyed.sort(key=lambda k: (k[0], k[1]))
+    keyed = sorted([(rng.random(), rid) for rid in sorted(moves)])
     occ = state.world.occupancy
     geometry = state.world.geometry
-    for _, _, intent in keyed:
-        robot = state.robots[intent.robot_id]
+    for _, rid in keyed:
+        move = moves[rid]
+        robot = state.robots[rid]
         pos = robot.pos
         steps = 0
-        for _ in range(intent.speed):
-            nxt = geometry[pos][intent.direction]
+        for _ in range(move.speed):
+            nxt = geometry[pos][move.direction]
             if nxt is None or nxt in occ:
                 break
             del occ[pos]
-            occ[nxt] = intent.robot_id
+            occ[nxt] = rid
             pos = nxt
             steps += 1
         robot.pos = pos
         robot.last_speed = steps
-        if intent.speed >= 1:
-            robot.heading = intent.direction
+        if move.speed >= 1:
+            robot.heading = move.direction
 
 
 Sensed = dict[int, tuple[HexCoord, int]]  # sensing robot -> (cell, target distance)
@@ -281,68 +274,63 @@ def tick(state: SimState) -> None:
             state.pending_spawn.remove(rid)
             robot.scripted_removed = True
 
-    spawn_step(state)
+    spawned = spawn_step(state)
 
     live = state.live_ids()  # unchanged until arrival retirement
     outbox, sensed, moved, advert = _emit_reports(state, live)
     # The comm graph carried from the last tick, less the robots that left
-    # since; a robot it does not hold (the one spawned) is scanned in.
+    # since; the robot spawned, the one it does not hold, is scanned in.
     live_mask = sum(1 << rid for rid in live)
     masks = {rid: state.comm_masks.get(rid, 0) & live_mask for rid in live}
-    positions = {rid: state.robots[rid].pos for rid in live}
-    for rid in live:
-        if rid not in state.comm_masks:
-            for nb in comm_neighbors(positions, rid, cfg.comm_range):
-                masks[rid] |= 1 << nb
-                masks[nb] |= 1 << rid
+    if spawned is not None:
+        positions = {rid: state.robots[rid].pos for rid in live}
+        for nb in comm_neighbors(positions, spawned, cfg.comm_range):
+            masks[spawned] |= 1 << nb
+            masks[nb] |= 1 << spawned
     reach: dict[int, int] = {}
     flood_until_quiet(masks, outbox, cfg.ttl, reach, state.tracker, t)
 
     observations = _assemble_observations(state, reach, sensed, moved)
 
-    if cfg.controller == "bco":
+    # Each decision draws from its own stream, dropped once the controller
+    # returns, so a controller may leave draws unmade (the GA stops at its
+    # answer).
+    moves: dict[int, Move] = {}
+    if cfg.controller == "ga":
+        for rid in live:
+            rng = derive_rng(cfg.seed, "decide", t, rid)
+            moves[rid] = decide_move_ga(observations[rid], state.world, cfg.ga, rng)
+    elif cfg.controller == "aco":
+        # A robot never smells its own trail: its replica got its deposits
+        # from heard reports, and nothing reads it again this tick once it has
+        # decided. Replicas of robots that left are never read again, and
+        # those of pending robots are empty.
+        for rid in live:
+            pher = state.robots[rid].pher
+            rng = derive_rng(cfg.seed, "decide", t, rid)
+            moves[rid] = decide_move_aco(observations[rid], pher, state.world, cfg.aco, rng)
+            pher.evaporate()
+        state.global_pher.evaporate()
+    else:
         # Only the current leader sends an advert. Over the symmetric comm
         # graph, the robots that heard it are those its own messages reach.
         heard = reach[advert.leader] if advert is not None else 0
         if heard:
             state.board.last_heard_tick = t
         if live:
-            state.board = elect_leader(
-                {rid: state.robots[rid].heading for rid in live},
-                observations,
-                t,
-                state.board,
-                cfg.bco,
-            )
-
-    intents = []
-    for rid in live:
-        robot = state.robots[rid]
-        obs = observations[rid]
-        # One stream per decision, dropped once the controller returns, so a
-        # controller may leave draws unmade (the GA stops at its answer).
-        rng = derive_rng(cfg.seed, "decide", t, rid)
-        if cfg.controller == "ga":
-            move = decide_move_ga(obs, state.world, cfg.ga, rng)
-        elif cfg.controller == "aco":
-            move = decide_move_aco(obs, robot.pher, state.world, cfg.aco, rng)
-        else:
-            if state.board is not None and state.board.leader == rid:
+            headings = {rid: state.robots[rid].heading for rid in live}
+            state.board = elect_leader(headings, observations, t, state.board, cfg.bco)
+        for rid in live:
+            robot = state.robots[rid]
+            if state.board.leader == rid:
                 view = state.board
             else:
                 view = advert if heard >> rid & 1 else None
-            move = decide_move_bco(rid, robot.heading, obs, view, cfg.bco, state.world, rng)
-        intents.append(MoveIntent(rid, move.direction, move.speed))
+            rng = derive_rng(cfg.seed, "decide", t, rid)
+            obs = observations[rid]
+            moves[rid] = decide_move_bco(rid, robot.heading, obs, view, cfg.bco, state.world, rng)
 
-    resolve_conflicts(intents, state, derive_rng(cfg.seed, "conflict", t))
-
-    if cfg.controller == "aco":
-        # A robot never smells its own trail: replicas got their deposits from
-        # heard reports. Those of robots that left are never read again, and
-        # those of pending robots are empty.
-        for rid in live:
-            state.robots[rid].pher.evaporate()
-        state.global_pher.evaporate()
+    resolve_conflicts(moves, state, derive_rng(cfg.seed, "conflict", t))
 
     # Trace rows, arrival retirement and distances in one pass. Arrived robots
     # count as distance 0; robots removed by script drop out.

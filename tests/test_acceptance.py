@@ -17,7 +17,6 @@ from hexswarm.comms import TrackerLog, comm_neighbors, flood_until_quiet, ids_of
 from hexswarm import engine
 from hexswarm.config import parse_config
 from hexswarm.engine import (
-    MoveIntent,
     check_invariants,
     init_state,
     resolve_conflicts,
@@ -29,6 +28,7 @@ from hexswarm.hexworld import (
     DIRECTION_OFFSETS,
     Direction,
     HexCoord,
+    Move,
     Observation,
     accessible_cells,
     hex_distance,
@@ -67,7 +67,7 @@ def visited_cells(state):
 
 
 def capture_last_tick(monkeypatch):
-    """{id(state): (observations, intents by robot id)} of each state's last
+    """{id(state): (observations, moves by robot id)} of each state's last
     tick, recorded by wrapping the engine phases that receive them."""
     last = {}
     assemble, resolve = engine._assemble_observations, engine.resolve_conflicts
@@ -77,9 +77,9 @@ def capture_last_tick(monkeypatch):
         last[id(state)] = (observations, {})
         return observations
 
-    def keep_and_resolve(intents, state, rng):
-        last[id(state)][1].update((it.robot_id, it) for it in intents)
-        return resolve(intents, state, rng)
+    def keep_and_resolve(moves, state, rng):
+        last[id(state)][1].update(moves)
+        return resolve(moves, state, rng)
 
     monkeypatch.setattr(engine, "_assemble_observations", assemble_and_keep)
     monkeypatch.setattr(engine, "resolve_conflicts", keep_and_resolve)
@@ -187,10 +187,12 @@ def test_criterion_05_aco_probability_and_evaporation_laws():
             assert w.accessible(step(cell, d))
         cases += 1
 
-    field = PheromoneField(levels={HexCoord(0, 0): 1.234, HexCoord(1, -1): 0.077})
     rho = 0.1
+    field = PheromoneField(
+        AcoParams(evaporation=rho), levels={HexCoord(0, 0): 1.234, HexCoord(1, -1): 0.077}
+    )
     for _ in range(100):
-        field.evaporate(rho)
+        field.evaporate()
     for cell, initial in ((HexCoord(0, 0), 1.234), (HexCoord(1, -1), 0.077)):
         expected = initial * (1 - rho) ** 100
         assert abs(field.level(cell) - expected) / expected < 1e-12
@@ -348,11 +350,8 @@ def test_criterion_10_conflict_resolution_safety():
             robot.live = True
             robot.pos = pos
             state.world.occupancy[pos] = rid
-        intents = [
-            MoveIntent(rid, Direction(rng.randrange(6)), rng.randrange(3))
-            for rid in range(n)
-        ]
-        resolve_conflicts(intents, state, rng)
+        moves = {rid: Move(Direction(rng.randrange(6)), rng.randrange(3)) for rid in range(n)}
+        resolve_conflicts(moves, state, rng)
         check_invariants(state)
     print("ACCEPTANCE 10 conflict safety over 10^4 fuzzed intent sets: PASS")
 

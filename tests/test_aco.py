@@ -57,27 +57,28 @@ class TestDeposit:
 
 class TestEvaporate:
     def test_single_step(self):
-        f = PheromoneField(levels={HexCoord(0, 0): 1.0})
-        f.evaporate(0.1)
+        f = PheromoneField(AcoParams(evaporation=0.1), levels={HexCoord(0, 0): 1.0})
+        f.evaporate()
         assert f.level(HexCoord(0, 0)) == pytest.approx(0.9)
 
     def test_iterated_matches_closed_form(self):
-        f = PheromoneField(levels={HexCoord(0, 0): 1.0, HexCoord(1, 0): 0.37})
         rho = 0.1
+        levels = {HexCoord(0, 0): 1.0, HexCoord(1, 0): 0.37}
+        f = PheromoneField(AcoParams(evaporation=rho), levels=levels)
         for _ in range(50):
-            f.evaporate(rho)
+            f.evaporate()
         for cell, initial in ((HexCoord(0, 0), 1.0), (HexCoord(1, 0), 0.37)):
             expected = initial * (1 - rho) ** 50
             assert abs(f.level(cell) - expected) / expected < 1e-12
 
     def test_empty_field_stays_empty(self):
-        f = PheromoneField()
-        f.evaporate(0.5)
+        f = PheromoneField(AcoParams(evaporation=0.5))
+        f.evaporate()
         assert f.levels == {}
 
     def test_tiny_levels_are_pruned(self):
-        f = PheromoneField(levels={HexCoord(0, 0): 1e-9})
-        f.evaporate(0.5)
+        f = PheromoneField(AcoParams(evaporation=0.5), levels={HexCoord(0, 0): 1e-9})
+        f.evaporate()
         assert f.levels == {}
 
     def test_linearity_fieldwise(self):
@@ -93,9 +94,9 @@ class TestEvaporate:
                 }
             )
             rho = rng.uniform(0.05, 0.5)
-            a.evaporate(rho)
-            b.evaporate(rho)
-            merged.evaporate(rho)
+            for f in (a, b, merged):
+                f.params.evaporation = rho
+                f.evaporate()
             for c in set(a.levels) | set(b.levels) | set(merged.levels):
                 assert merged.level(c) == pytest.approx(a.level(c) + b.level(c), abs=1e-12)
 
@@ -108,7 +109,8 @@ class TestEvaporate:
             if rng.random() < 0.6:
                 f.deposit(w, rng.choice(cells), rng.choice((99, 0, 1, 4, 9)))
             else:
-                f.evaporate(rng.uniform(0.01, 0.9))
+                f.params.evaporation = rng.uniform(0.01, 0.9)
+                f.evaporate()
             assert all(v >= 0 for v in f.levels.values())
 
 

@@ -47,7 +47,7 @@ def test_patched_name_resolves_to_a_callable(owner, attr):
 
 
 # Installs the tracer in a fresh process (it patches for the life of the
-# process), runs the CLI and prints the tracer's counters.
+# process), runs the CLI and prints the tracer's counters and span calls.
 TRACED_RUN = """
 import importlib.util, json, sys
 spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
@@ -57,12 +57,15 @@ tracer = spans.Tracer()
 tracer.install()
 from hexswarm import cli
 cli.main(sys.argv[2:])
-print(json.dumps(tracer.counts))
+print(json.dumps({"counts": tracer.counts, "calls": tracer.calls}))
 """
 
 
 def assert_tracing_is_an_observer(tmp_path, scenario):
-    """Runs scenario traced, then untraced, at seed 1 for 40 ticks."""
+    """Runs scenario traced, then untraced, at seed 1 for 40 ticks. Every
+    trace row is one decision of the run's controller, and a bco run elects
+    a first leader, so a dispatch change cannot leave a controller's spans
+    unreached."""
     traced, plain = tmp_path / "traced", tmp_path / "plain"
     argv = ["--scenario", str(ROOT / "scenarios" / scenario), "--seed", "1"]
     argv += ["--ticks", "40"]
@@ -75,10 +78,17 @@ def assert_tracing_is_an_observer(tmp_path, scenario):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    counts = json.loads(proc.stdout)
+    spans = json.loads(proc.stdout)
+    counts, calls = spans["counts"], spans["calls"]
     summary = json.loads((traced / "summary.json").read_text())
     assert summary["messages_delivered"] > 0
     assert counts["comms.deliveries"] == summary["messages_delivered"]
+    rows = (traced / "trace.csv").read_text().count("\n") - 1  # less the header
+    assert rows > 0
+    assert calls[f"{summary['controller']}.decide"] == rows
+    if summary["controller"] == "bco":
+        assert calls["bco.elect"] > 0
+        assert counts["bco.leader_changes"] >= 1
 
     cli.main([*argv, "--out", str(plain)])
     names = sorted(p.name for p in traced.iterdir())

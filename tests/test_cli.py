@@ -301,6 +301,24 @@ class TestExitStatuses:
         assert capsys.readouterr().err.startswith(f"hexswarm: error: argument {flag}: ")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["--seed", "1", "--seed", "2"], "--seed"),
+            (["--seed=1", "--seed", "2"], "--seed"),
+            (["--out", "{out}", "--out", "{out}2"], "--out"),  # a flag with a default
+        ],
+    )
+    def test_flag_given_twice_is_usage_error(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out"
+        argv = [arg.format(out=out) for arg in argv]
+        if "--out" not in argv:
+            argv += ["--out", str(out)]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == f"hexswarm: error: argument {flag}: given more than once\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_success_exit_zero(self, tmp_path):
         scenario = write_scenario(
             tmp_path, "robots = 1\nradius = 6\nmargin = 1\ntarget = 1,0\nentry = 0,0\n"

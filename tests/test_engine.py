@@ -27,7 +27,6 @@ from hexswarm.comms import (
 )
 from hexswarm.config import parse_config
 from hexswarm.engine import (
-    MoveIntent,
     STATUS_EXTINCT,
     STATUS_SUCCESS,
     STATUS_TIMEOUT,
@@ -39,7 +38,15 @@ from hexswarm.engine import (
     spawn_step,
     tick,
 )
-from hexswarm.hexworld import TARGET_DISTANCE, Direction, HexCoord, Observation, hex_distance, step
+from hexswarm.hexworld import (
+    TARGET_DISTANCE,
+    Direction,
+    HexCoord,
+    Move,
+    Observation,
+    hex_distance,
+    step,
+)
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src"
@@ -148,8 +155,8 @@ class TestResolveConflicts:
         winners = set()
         for seed in range(40):
             state = self.small_state({0: HexCoord(-1, 0), 1: HexCoord(1, 0)})
-            intents = [MoveIntent(0, Direction(0), 1), MoveIntent(1, Direction(3), 1)]
-            resolve_conflicts(intents, state, random.Random(seed))
+            moves = {0: Move(Direction(0), 1), 1: Move(Direction(3), 1)}
+            resolve_conflicts(moves, state, random.Random(seed))
             occupants = [rid for rid, r in state.robots.items() if r.pos == contested]
             assert len(occupants) == 1
             loser = 1 - occupants[0]
@@ -160,13 +167,13 @@ class TestResolveConflicts:
 
     def test_clear_path_speed_two_lands_two_away(self):
         state = self.small_state({0: HexCoord(0, 0)})
-        resolve_conflicts([MoveIntent(0, Direction(0), 2)], state, random.Random(1))
+        resolve_conflicts({0: Move(Direction(0), 2)}, state, random.Random(1))
         assert state.robots[0].pos == HexCoord(2, 0)
         assert state.robots[0].last_speed == 2
 
     def test_speed_zero_stays_put(self):
         state = self.small_state({0: HexCoord(1, 1)})
-        resolve_conflicts([MoveIntent(0, Direction(2), 0)], state, random.Random(1))
+        resolve_conflicts({0: Move(Direction(2), 0)}, state, random.Random(1))
         assert state.robots[0].pos == HexCoord(1, 1)
 
     def test_vacated_cells_free_up_within_a_tick(self):
@@ -174,8 +181,8 @@ class TestResolveConflicts:
         # advance one cell because predecessors vacate.
         for seed in range(20):
             state = self.small_state({i: HexCoord(i - 2, 0) for i in range(4)}, robots=4)
-            intents = [MoveIntent(i, Direction(0), 1) for i in range(4)]
-            resolve_conflicts(intents, state, random.Random(seed))
+            moves = {i: Move(Direction(0), 1) for i in range(4)}
+            resolve_conflicts(moves, state, random.Random(seed))
             got = sorted(state.robots[i].pos for i in range(4))
             moved = sum(state.robots[i].last_speed for i in range(4))
             assert moved >= 1
@@ -192,11 +199,52 @@ class TestResolveConflicts:
                 if hex_distance(c, HexCoord(0, 0)) <= 3:
                     cells.add(c)
             state = self.small_state(dict(enumerate(sorted(cells))), robots=n)
-            intents = [
-                MoveIntent(i, Direction(rng.randrange(6)), rng.randrange(3)) for i in range(n)
-            ]
-            resolve_conflicts(intents, state, rng)
+            moves = {i: Move(Direction(rng.randrange(6)), rng.randrange(3)) for i in range(n)}
+            resolve_conflicts(moves, state, rng)
             check_invariants(state)
+
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        st.lists(st.integers(0, 5), min_size=2, max_size=6, unique=True),
+        st.lists(st.integers(1, 2), min_size=6, max_size=6),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_robots_converging_on_one_cell(self, sides, speeds, seed):
+        """Robot i stands on side sides[i] of an empty cell and moves into it.
+        The first robot to step in wins the cell; with the same seed,
+        dropping the highest id's move leaves the same winner, unless the
+        dropped robot was it."""
+        center = HexCoord(0, 0)
+        placements = {rid: step(center, Direction(side)) for rid, side in enumerate(sides)}
+
+        def winner(movers):
+            state = self.small_state(placements)
+            state.world.occupancy = EntryLog(state.world.occupancy)
+            moves = {
+                rid: Move(Direction((sides[rid] + 3) % 6), speeds[rid]) for rid in range(movers)
+            }
+            resolve_conflicts(moves, state, random.Random(seed))
+            check_invariants(state)
+            for rid, move in moves.items():
+                assert state.robots[rid].last_speed <= move.speed
+            return next(rid for cell, rid in state.world.occupancy.entries if cell == center)
+
+        first = winner(len(sides))
+        if first != len(sides) - 1:
+            assert winner(len(sides) - 1) == first
+
+
+class EntryLog(dict):
+    """An occupancy table that also lists each (cell, robot) write in order."""
+
+    def __init__(self, cells):
+        super().__init__(cells)
+        self.entries = []
+
+    def __setitem__(self, cell, rid):
+        self.entries.append((cell, rid))
+        super().__setitem__(cell, rid)
 
 
 class TestTick:
