@@ -7,7 +7,20 @@ and take their final names only when the run returns, so memory stays flat
 in max_ticks and a failed run leaves neither. A batch writes no tracker.csv
 and so keeps only the count of its deliveries.
 
-Exit statuses: 0 success, 2 timeout, 3 extinction, 1 usage/config error.
+A batch shares its seeds over one process per CPU this process may use (no
+more than one per seed): this one runs seeds 0, P, 2P, ... of the batch and
+each of the others, forked, runs every P-th seed from its own and sends its
+summary rows back over a pipe. A run is a pure function of (config, seed),
+so the files are byte-identical to one process running every seed in turn.
+P processes hold up to P simulations at once, each in its own memory;
+``taskset -c 0 hexswarm --batch N ...`` runs the batch in this process
+alone, with no fork. A batch that fails raises the exception of its lowest
+failing seed, writes no summary.json, and leaves only the files of the
+seeds before that one.
+
+Exit statuses: 0 success, 2 timeout, 3 extinction, 1 usage/config error. A
+batch exits 0 once every seed has run; each summary row's status tells how
+that seed ended.
 """
 
 from __future__ import annotations
@@ -22,7 +35,7 @@ import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Iterator, Optional, TextIO
+from typing import Iterable, Iterator, Optional, TextIO
 
 from .comms import TRACKER_CSV_HEADER, DeliveryCount, TrackerLog
 from .config import ConfigError, ScenarioConfig, ascii_int, config_overrides, parse_config
@@ -127,6 +140,151 @@ def stream_run(cfg: ScenarioConfig, out_dir: Path, suffix: str = "") -> RunResul
     return result
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_share(
+    cfg: ScenarioConfig, out_dir: Path, seeds: Iterable[int]
+) -> tuple[list[str], Optional[BaseException]]:
+    """Run seeds in ascending order up to the first that raises: the summary
+    rows of the seeds that ran, and that seed's exception, if one raised."""
+    rows = []
+    for seed in seeds:
+        try:
+            result = stream_run(config_overrides(cfg, seed=seed), out_dir, suffix=f"_{seed}")
+        except BaseException as exc:  # run_batch re-raises it once every process has ended
+            return rows, exc
+        rows.append(json.dumps(result.summary))
+    return rows, None
+
+
+class _ChildTraceback(Exception):
+    """The traceback, as text, of a seed that failed in a forked process."""
+
+
+class _Child:
+    """A forked process running a share of a batch; its report comes back
+    on the pipe read end ``fd``."""
+
+    def __init__(self, seeds: range, pid: int, fd: int) -> None:
+        self.seeds, self.pid, self.fd = seeds, pid, fd
+        self.report, self.status = b"", 0
+
+    def reap(self) -> None:
+        """Read the report to its end and wait for the process, even when
+        reading fails."""
+        try:
+            with os.fdopen(self.fd, "rb") as pipe:
+                self.report = pipe.read()
+        finally:
+            self.status = os.waitpid(self.pid, 0)[1]
+
+    def outcome(self) -> tuple[list[str], Optional[BaseException]]:
+        """What ``_run_share`` returned in the child."""
+        code = os.waitstatus_to_exitcode(self.status)
+        if code != 0:
+            seeds = ", ".join(map(str, self.seeds))
+            return [], RuntimeError(
+                f"batch: the process running seeds {seeds} exited with code {code} "
+                "before it reported"
+            )
+        text, failed, failure = self.report.partition(b"\0")
+        rows = text.decode().splitlines()
+        if not failed:
+            return rows, None
+        import pickle  # only a failed seed is pickled, so a batch that runs does not load it
+
+        exc, traceback_text = pickle.loads(failure)
+        exc.__cause__ = _ChildTraceback(traceback_text)
+        return rows, exc
+
+
+def _fork_share(
+    cfg: ScenarioConfig, out_dir: Path, seeds: range, children: list[_Child]
+) -> _Child:
+    """Fork a process that runs seeds and reports back over a pipe: a
+    summary row a line for the seeds that ran, then, if one raised, a NUL
+    byte and the pickled exception and its traceback. The process ends with
+    ``os._exit`` whatever happens, so it never returns into the caller.
+    Raises OSError when no pipe or process can be made."""
+    fd, report_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(fd)
+        os.close(report_fd)
+        raise
+    if pid:
+        os.close(report_fd)
+        return _Child(seeds, pid, fd)
+    status = 1
+    try:
+        for held in (fd, *(child.fd for child in children)):
+            os.close(held)
+        rows, exc = _run_share(cfg, out_dir, seeds)
+        report = "".join(row + "\n" for row in rows).encode()
+        if exc is not None:
+            import pickle
+            import traceback
+
+            text = "".join(traceback.format_exception(exc))
+            report += b"\0" + pickle.dumps((exc, text))
+        with os.fdopen(report_fd, "wb") as pipe:
+            pipe.write(report)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def run_batch(cfg: ScenarioConfig, out_dir: Path, n: int) -> None:
+    """Run seeds cfg.seed .. cfg.seed + n - 1, each writing trace_<seed>.csv
+    (and, for aco, field_<seed>.csv), then write summary.json, a row per
+    seed in seed order.
+
+    The seeds are shared over P = min(n, usable_cpus()) processes: this one
+    runs seeds 0, P, 2P, ... of the batch, and a forked child each share
+    from 1 to P-1; where a fork fails, this process runs that share too.
+    Every child is waited for before this returns or raises. If a seed
+    raises, the exception of the lowest such seed is raised, no summary.json
+    is written, and the files of that seed and of every later one are
+    removed, so only the earlier seeds' files are left."""
+    seeds = range(cfg.seed, cfg.seed + n)
+    procs = min(n, usable_cpus())
+    children: list[_Child] = []
+    with ExitStack() as reaping:
+        for first in range(1, procs):
+            try:
+                child = _fork_share(cfg, out_dir, seeds[first::procs], children)
+            except OSError:  # no process to spare: this one runs the rest
+                break
+            children.append(child)
+            reaping.callback(child.reap)
+        forked = {seed for child in children for seed in child.seeds}
+        own = [seed for seed in seeds if seed not in forked]
+        outcomes = [(own, *_run_share(cfg, out_dir, own))]
+    outcomes += [(child.seeds, *child.outcome()) for child in children]
+
+    rows: dict[int, str] = {}
+    failures: dict[int, BaseException] = {}
+    for share, done, exc in outcomes:
+        rows.update(zip(share, done))
+        if exc is not None:
+            failures[share[len(done)]] = exc
+    if failures:
+        lowest = min(failures)
+        for seed in range(lowest, seeds.stop):
+            for name in (f"trace_{seed}.csv", f"field_{seed}.csv"):
+                (out_dir / name).unlink(missing_ok=True)
+        raise failures[lowest]
+    write_atomic(out_dir / "summary.json", "".join(rows[seed] + "\n" for seed in seeds))
+
+
 def _load_scenario(path: Optional[str]) -> ScenarioConfig:
     if path is None:
         return parse_config("")
@@ -196,11 +354,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         write_atomic(out_dir / "summary.json", json.dumps(result.summary) + "\n")
         return result.exit_code
 
-    rows = []
-    for seed in range(cfg.seed, cfg.seed + args.batch):
-        result = stream_run(config_overrides(cfg, seed=seed), out_dir, suffix=f"_{seed}")
-        rows.append(json.dumps(result.summary))
-    write_atomic(out_dir / "summary.json", "\n".join(rows) + "\n")
+    run_batch(cfg, out_dir, args.batch)
     return 0
 
 

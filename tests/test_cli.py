@@ -1,5 +1,6 @@
 """CLI tests: flag layering, output files, batch mode, and exit statuses."""
 
+import errno
 import json
 import os
 import stat
@@ -14,6 +15,7 @@ from hexswarm import cli, engine
 from hexswarm.cli import field_csv, main, trace_csv, tracker_csv
 from hexswarm.config import config_overrides, parse_config
 from hexswarm.engine import TRACE_HEADER, run
+from test_golden import cli_configs, in_memory_files
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -215,6 +217,155 @@ class TestBatch:
         assert code == 1
         assert err.startswith("hexswarm: error: batch: ")
         assert list(out.iterdir()) == []
+
+
+ACO = SMALL + "controller = aco\n"
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(cli, "usable_cpus", lambda: n)
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def files_of(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+def each_seed_alone(tmp_path, first, n, summary=True) -> dict[str, bytes]:
+    """The files of an aco batch of n seeds from first, each seed run alone
+    by ``run`` into the in-memory sinks."""
+    scenario = Path(write_scenario(tmp_path, ACO))
+    flags = f"--seed {first} --batch {n}"
+    files = in_memory_files(scenario, flags)
+    if summary:
+        rows = [json.dumps(run(cfg).summary) + "\n" for _, cfg in cli_configs(scenario, flags)]
+        files["summary.json"] = "".join(rows).encode()
+    return files
+
+
+class TestSharedBatch:
+    """A batch shared over forked processes writes the bytes each seed gives
+    alone, and no process outlives main."""
+
+    @pytest.mark.parametrize("cpus", [3, 7])  # shares of 2, 2 and 1 seeds; more CPUs than seeds
+    def test_shares_write_what_each_seed_gives_alone(self, tmp_path, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        forks = []
+        real_fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        out = tmp_path / "batch"
+        code = main(["--scenario", write_scenario(tmp_path, ACO), "--seed", "5", "--batch", "5",
+                     "--out", str(out)])  # fmt: skip
+        assert_no_child_left()
+        assert (code, len(forks)) == (0, min(cpus, 5) - 1)
+        assert files_of(out) == each_seed_alone(tmp_path, 5, 5)
+
+
+class TestSharedBatchFailure:
+    """Seeds 5-8 on 2 CPUs: this process runs 5 and 7, a child 6 and 8. A
+    failed batch raises its lowest failing seed's exception and leaves the
+    files of the seeds before it, whole, and nothing else."""
+
+    def batch(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        out = tmp_path / "crashed"
+        try:
+            main(["--scenario", write_scenario(tmp_path, ACO), "--seed", "5", "--batch", "4",
+                  "--out", str(out)])  # fmt: skip
+        finally:
+            assert_no_child_left()
+        return out
+
+    @pytest.mark.parametrize("at_tick", [0, 30])
+    def test_failure_in_a_childs_seed(self, tmp_path, monkeypatch, at_tick):
+        TestCrashSafety.crash(monkeypatch, 6, at_tick)
+        with pytest.raises(RuntimeError, match="^crash$") as failed:
+            self.batch(tmp_path, monkeypatch)
+        assert isinstance(failed.value.__cause__, cli._ChildTraceback)
+        assert "RuntimeError: crash" in str(failed.value.__cause__)
+        assert files_of(tmp_path / "crashed") == each_seed_alone(tmp_path, 5, 1, summary=False)
+
+    def test_failure_here_removes_a_later_seed_a_child_finished(self, tmp_path, monkeypatch):
+        TestCrashSafety.crash(monkeypatch, 7, 30)
+        removed = []
+        real_unlink = Path.unlink
+
+        def unlink(path, missing_ok=False):
+            if path.exists():
+                removed.append(path.name)
+            real_unlink(path, missing_ok=missing_ok)
+
+        monkeypatch.setattr(Path, "unlink", unlink)
+        with pytest.raises(RuntimeError, match="^crash$"):
+            self.batch(tmp_path, monkeypatch)
+        assert removed == ["trace_8.csv", "field_8.csv"]
+        assert files_of(tmp_path / "crashed") == each_seed_alone(tmp_path, 5, 2, summary=False)
+
+    @pytest.mark.parametrize("failing", [(6, 7), (5, 6), (7, 8)])
+    def test_lowest_failing_seed_is_raised(self, tmp_path, monkeypatch, failing):
+        real_tick = engine.tick
+
+        def tick(state):
+            if state.config.seed in failing and state.tick == 10:
+                raise RuntimeError(f"crash {state.config.seed}")
+            real_tick(state)
+
+        monkeypatch.setattr(engine, "tick", tick)
+        with pytest.raises(RuntimeError, match=f"^crash {failing[0]}$"):
+            self.batch(tmp_path, monkeypatch)
+        earlier = failing[0] - 5
+        expected = each_seed_alone(tmp_path, 5, earlier, summary=False) if earlier else {}
+        assert files_of(tmp_path / "crashed") == expected
+
+    def test_child_that_ends_without_reporting(self, tmp_path, monkeypatch):
+        parent, real_tick = os.getpid(), engine.tick
+
+        def tick(state):
+            if state.config.seed == 6 and os.getpid() != parent:
+                os._exit(9)
+            real_tick(state)
+
+        monkeypatch.setattr(engine, "tick", tick)
+        with pytest.raises(RuntimeError, match="seeds 6, 8 exited with code 9 before it reported"):
+            self.batch(tmp_path, monkeypatch)
+        assert files_of(tmp_path / "crashed") == each_seed_alone(tmp_path, 5, 1, summary=False)
+
+
+class TestBatchWithoutFork:
+    """One CPU, a usage error and a fork that fails: no process is forked."""
+
+    @pytest.fixture(autouse=True)
+    def no_fork(self, monkeypatch):
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+
+    def test_one_cpu_runs_every_seed_here(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 1)
+        out = tmp_path / "batch"
+        main(["--scenario", write_scenario(tmp_path, ACO), "--seed", "5", "--batch", "5",
+              "--out", str(out)])  # fmt: skip
+        assert files_of(out) == each_seed_alone(tmp_path, 5, 5)
+
+    def test_usage_error_forks_nothing(self, tmp_path, monkeypatch, capsys):
+        use_cpus(monkeypatch, 2)
+        TestBatch().test_seed_range_past_64_bits_fails_before_any_run(tmp_path, capsys)
+
+    def test_failed_fork_runs_the_share_here(self, tmp_path, monkeypatch):
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        use_cpus(monkeypatch, 3)
+        out = tmp_path / "batch"
+        main(["--scenario", write_scenario(tmp_path, ACO), "--seed", "5", "--batch", "5",
+              "--out", str(out)])  # fmt: skip
+        assert files_of(out) == each_seed_alone(tmp_path, 5, 5)
 
 
 class TestExitStatuses:

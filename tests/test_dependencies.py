@@ -32,3 +32,34 @@ def test_package_and_cli_import_only_the_standard_library():
     # The engine takes each tick's median and mean itself: statistics would
     # load fractions and decimal with it.
     assert [name for name in ("statistics", "fractions", "decimal") if name in loaded] == []
+
+
+# A batch shares its seeds over processes made with os.fork and reads their
+# rows from pipes: a process pool's import and start-up would land in the
+# CLI's set-up time, before its first simulation.
+IMPORT_AND_BATCH = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import hexswarm, hexswarm.cli
+imported = sorted(sys.modules)
+hexswarm.cli.usable_cpus = lambda: 2
+code = hexswarm.cli.main(["--ticks", "3", "--batch", "2", "--out", sys.argv[2]])
+print(json.dumps({"import": imported, "batch": sorted(sys.modules), "code": code}))
+"""
+
+
+def test_cli_loads_no_process_pool_and_pickles_only_on_failure(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", IMPORT_AND_BATCH, str(SRC), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert loaded["code"] == 0
+    assert len((tmp_path / "summary.json").read_text().splitlines()) == 2
+    for phase in ("import", "batch"):
+        names = {name.partition(".")[0] for name in loaded[phase]}
+        unwanted = ("multiprocessing", "concurrent", "pickle")
+        assert [name for name in unwanted if name in names] == []
