@@ -7,16 +7,9 @@ and take their final names only when the run returns, so memory stays flat
 in max_ticks and a failed run leaves neither. A batch writes no tracker.csv
 and so keeps only the count of its deliveries.
 
-A batch shares its seeds over one process per CPU this process may use (no
-more than one per seed): this one runs seeds 0, P, 2P, ... of the batch and
-each of the others, forked, runs every P-th seed from its own and sends its
-summary rows back over a pipe. A run is a pure function of (config, seed),
-so the files are byte-identical to one process running every seed in turn.
-P processes hold up to P simulations at once, each in its own memory;
-``taskset -c 0 hexswarm --batch N ...`` runs the batch in this process
-alone, with no fork. A batch that fails raises the exception of its lowest
-failing seed, writes no summary.json, and leaves only the files of the
-seeds before that one.
+A batch shares its seeds over one forked process per CPU this process may
+use; ``run_batch`` says how, and what a batch that fails or is killed
+leaves.
 
 Exit statuses: 0 success, 2 timeout, 3 extinction, 1 usage/config error. A
 batch exits 0 once every seed has run; each summary row's status tells how
@@ -168,51 +161,16 @@ class _ChildTraceback(Exception):
     """The traceback, as text, of a seed that failed in a forked process."""
 
 
-class _Child:
-    """A forked process running a share of a batch; its report comes back
-    on the pipe read end ``fd``."""
-
-    def __init__(self, seeds: range, pid: int, fd: int) -> None:
-        self.seeds, self.pid, self.fd = seeds, pid, fd
-        self.report, self.status = b"", 0
-
-    def reap(self) -> None:
-        """Read the report to its end and wait for the process, even when
-        reading fails."""
-        try:
-            with os.fdopen(self.fd, "rb") as pipe:
-                self.report = pipe.read()
-        finally:
-            self.status = os.waitpid(self.pid, 0)[1]
-
-    def outcome(self) -> tuple[list[str], Optional[BaseException]]:
-        """What ``_run_share`` returned in the child."""
-        code = os.waitstatus_to_exitcode(self.status)
-        if code != 0:
-            seeds = ", ".join(map(str, self.seeds))
-            return [], RuntimeError(
-                f"batch: the process running seeds {seeds} exited with code {code} "
-                "before it reported"
-            )
-        text, failed, failure = self.report.partition(b"\0")
-        rows = text.decode().splitlines()
-        if not failed:
-            return rows, None
-        import pickle  # only a failed seed is pickled, so a batch that runs does not load it
-
-        exc, traceback_text = pickle.loads(failure)
-        exc.__cause__ = _ChildTraceback(traceback_text)
-        return rows, exc
-
-
 def _fork_share(
-    cfg: ScenarioConfig, out_dir: Path, seeds: range, children: list[_Child]
-) -> _Child:
+    cfg: ScenarioConfig, out_dir: Path, seeds: range, held: list[int]
+) -> tuple[int, int]:
     """Fork a process that runs seeds and reports back over a pipe: a
     summary row a line for the seeds that ran, then, if one raised, a NUL
-    byte and the pickled exception and its traceback. The process ends with
-    ``os._exit`` whatever happens, so it never returns into the caller.
-    Raises OSError when no pipe or process can be made."""
+    byte and the pickled exception and its traceback. The process closes
+    held, the earlier shares' read ends, and ends with ``os._exit`` whatever
+    happens, so it never returns into the caller. Returns (pid, read end);
+    raises OSError when no pipe or process can be made."""
+    parent = os.getpid()
     fd, report_fd = os.pipe()
     try:
         pid = os.fork()
@@ -222,12 +180,14 @@ def _fork_share(
         raise
     if pid:
         os.close(report_fd)
-        return _Child(seeds, pid, fd)
+        return pid, fd
     status = 1
     try:
-        for held in (fd, *(child.fd for child in children)):
-            os.close(held)
-        rows, exc = _run_share(cfg, out_dir, seeds)
+        for held_fd in (fd, *held):
+            os.close(held_fd)
+        # A process whose parent has gone (killed, say) is adopted by another
+        # and runs no further seed: no one is left to read its rows.
+        rows, exc = _run_share(cfg, out_dir, (seed for seed in seeds if os.getppid() == parent))
         report = "".join(row + "\n" for row in rows).encode()
         if exc is not None:
             import pickle
@@ -242,6 +202,31 @@ def _fork_share(
         os._exit(status)
 
 
+def _reap(seeds: range, pid: int, fd: int) -> tuple[list[str], Optional[BaseException]]:
+    """What ``_run_share`` returned in process pid, from its pipe's read end
+    fd: read to its end first, as a report larger than the pipe holds blocks
+    the process until read, then waited for even when the read fails."""
+    try:
+        with os.fdopen(fd, "rb") as pipe:
+            report = pipe.read()
+    finally:
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        return [], RuntimeError(
+            f"batch: the process running seeds {', '.join(map(str, seeds))} exited with "
+            f"code {code} before it reported"
+        )
+    text, failed, failure = report.partition(b"\0")
+    rows = text.decode().splitlines()
+    if not failed:
+        return rows, None
+    import pickle  # only a failed seed is pickled, so a batch that runs does not load it
+
+    exc, traceback_text = pickle.loads(failure)
+    exc.__cause__ = _ChildTraceback(traceback_text)
+    return rows, exc
+
+
 def run_batch(cfg: ScenarioConfig, out_dir: Path, n: int) -> None:
     """Run seeds cfg.seed .. cfg.seed + n - 1, each writing trace_<seed>.csv
     (and, for aco, field_<seed>.csv), then write summary.json, a row per
@@ -249,26 +234,33 @@ def run_batch(cfg: ScenarioConfig, out_dir: Path, n: int) -> None:
 
     The seeds are shared over P = min(n, usable_cpus()) processes: this one
     runs seeds 0, P, 2P, ... of the batch, and a forked child each share
-    from 1 to P-1; where a fork fails, this process runs that share too.
-    Every child is waited for before this returns or raises. If a seed
-    raises, the exception of the lowest such seed is raised, no summary.json
-    is written, and the files of that seed and of every later one are
-    removed, so only the earlier seeds' files are left."""
+    from 1 to P-1, sending its summary rows back over a pipe; where a fork
+    fails, this process runs that share too. A run is a pure function of
+    (config, seed), so the files are byte-identical to one process running
+    every seed in turn. Memory is per process, and ``taskset -c 0`` gives
+    P = 1, with no fork. Every child is waited for before this returns or
+    raises; one whose parent has gone (killed, say) stops before its next
+    seed, so at most the seed it is running still writes its files.
+
+    If a seed raises, the exception of the lowest such seed is raised, a
+    child's with its traceback as the ``__cause__``; no summary.json is
+    written, and the files of that seed and every later one are removed. A
+    child that ends before it reports fails its first seed with a
+    RuntimeError naming its seeds and exit code."""
     seeds = range(cfg.seed, cfg.seed + n)
     procs = min(n, usable_cpus())
-    children: list[_Child] = []
+    read_ends: list[int] = []
+    outcomes = []
     with ExitStack() as reaping:
-        for first in range(1, procs):
+        for share in (seeds[first::procs] for first in range(1, procs)):
             try:
-                child = _fork_share(cfg, out_dir, seeds[first::procs], children)
+                pid, fd = _fork_share(cfg, out_dir, share, read_ends)
             except OSError:  # no process to spare: this one runs the rest
                 break
-            children.append(child)
-            reaping.callback(child.reap)
-        forked = {seed for child in children for seed in child.seeds}
-        own = [seed for seed in seeds if seed not in forked]
-        outcomes = [(own, *_run_share(cfg, out_dir, own))]
-    outcomes += [(child.seeds, *child.outcome()) for child in children]
+            read_ends.append(fd)
+            reaping.callback(lambda *fork: outcomes.append((fork[0], *_reap(*fork))), share, pid, fd)
+        own = [seed for seed in seeds if not 0 < (seed - seeds.start) % procs <= len(read_ends)]
+        outcomes.append((own, *_run_share(cfg, out_dir, own)))
 
     rows: dict[int, str] = {}
     failures: dict[int, BaseException] = {}

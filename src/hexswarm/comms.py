@@ -102,6 +102,8 @@ class TrackerLog(DeliveryCount):
 
     @property
     def entries(self) -> list[TrackEntry]:
+        if self.write != self.parts.append:
+            raise ValueError("TrackerLog.entries: the rows went to write, not to this log")
         lines = "".join(self.parts).splitlines()
         return [TrackEntry._make(map(int, line.split(","))) for line in lines]
 

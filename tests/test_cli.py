@@ -3,9 +3,12 @@
 import errno
 import json
 import os
+import re
+import select
 import stat
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -333,6 +336,72 @@ class TestSharedBatchFailure:
         with pytest.raises(RuntimeError, match="seeds 6, 8 exited with code 9 before it reported"):
             self.batch(tmp_path, monkeypatch)
         assert files_of(tmp_path / "crashed") == each_seed_alone(tmp_path, 5, 1, summary=False)
+
+
+# A batch of the default scenario shared over 2 processes, run in a fresh
+# interpreter: argv is (src, out, batch size); exits 0 with no output.
+DEFAULT_BATCH = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import hexswarm.cli
+hexswarm.cli.usable_cpus = lambda: 2
+hexswarm.cli.main(["--seed", "1", "--batch", sys.argv[3], "--out", sys.argv[2]])
+"""
+
+
+def default_batch(out: Path, n: int, **popen) -> subprocess.Popen:
+    argv = [sys.executable, "-I", "-c", DEFAULT_BATCH, str(REPO / "src"), str(out), str(n)]
+    return subprocess.Popen(argv, **popen)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="a batch forks only where os.fork exists")
+class TestBatchProcesses:
+    """A forked share, seen from outside the command's process."""
+
+    def test_report_larger_than_a_pipe_holds(self, tmp_path):
+        """README's 20-seed sweep: the child's rows outgrow the pipe, so it
+        blocks until they are read; a wait before the read would hang."""
+        proc = default_batch(tmp_path, 20)
+        try:
+            assert proc.wait(timeout=120) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+        rows = (tmp_path / "summary.json").read_bytes().splitlines(keepends=True)
+        assert [json.loads(row)["seed"] for row in rows] == list(range(1, 21))
+        import fcntl  # Unix only, as os.fork is
+
+        held = 65536  # Linux's default, where a pipe cannot say what it holds
+        if hasattr(fcntl, "F_GETPIPE_SZ"):
+            read_end, write_end = os.pipe()
+            held = fcntl.fcntl(write_end, fcntl.F_GETPIPE_SZ)
+            os.close(read_end)
+            os.close(write_end)
+        assert sum(map(len, rows[1::2])) > held  # the child's seeds, 2, 4, ..., 20
+
+    def test_killed_command_leaves_a_child_one_seed_at_most(self, tmp_path):
+        """The child stops before its next seed once the command's process is
+        killed. Every process holding the pipe's write end keeps its read end
+        from reading EOF, so EOF says the child has ended."""
+        read_end, write_end = os.pipe()
+        proc = default_batch(tmp_path, 16, pass_fds=(write_end,))
+        os.close(write_end)
+        try:
+            deadline = time.monotonic() + 60
+            while not (tmp_path / "trace_2.csv").exists():  # the child's first seed
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            before = set(os.listdir(tmp_path))
+            proc.kill()
+            proc.wait()
+            assert select.select([read_end], [], [], 60)[0] == [read_end]
+            assert os.read(read_end, 1) == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            os.close(read_end)
+        written = [name for name in os.listdir(tmp_path) if name not in before]
+        assert len([name for name in written if re.fullmatch(r"trace_\d+\.csv", name)]) <= 1
 
 
 class TestBatchWithoutFork:

@@ -217,6 +217,16 @@ class TestFloodRound:
         assert reach_ids(reach) == {0: [1]}
         assert [e.relay for e in tracker.entries] == [1]
 
+    def test_entries_of_a_log_that_writes_elsewhere_fail(self):
+        """A log given write counts its deliveries but keeps no rows to parse."""
+        written = []
+        tracker = TrackerLog(written.append)
+        made, _ = flood_fresh(self.chain(), 1, [msg(origin=0, ttl=2)], tracker)
+        assert len(tracker) == made == 2
+        assert "".join(written) == "0,0,0,1,1\n0,0,0,2,2\n"
+        with pytest.raises(ValueError, match="the rows went to write"):
+            tracker.entries
+
     def test_reinjection_after_full_delivery_is_silent(self):
         positions = self.chain()
         boxes = new_mailboxes(positions)
