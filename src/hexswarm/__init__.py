@@ -17,7 +17,6 @@ from .bco import (
     elect_leader,
 )
 from .comms import (
-    DeliveryCount,
     Message,
     TrackerLog,
     comm_neighbors,

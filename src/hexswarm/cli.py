@@ -4,16 +4,17 @@ files atomically into the output directory.
 
 trace.csv and tracker.csv are streamed: rows go into temp files tick by tick
 and take their final names only when the run returns, so memory stays flat
-in max_ticks and a failed run leaves neither. A batch writes no tracker.csv
-and so keeps only the count of its deliveries.
+in max_ticks and a failed run leaves neither. A batch writes no tracker.csv:
+its runs format no tracker rows and only count their deliveries.
 
 A batch shares its seeds over one forked process per CPU this process may
 use; ``run_batch`` says how, and what a batch that fails or is killed
 leaves.
 
-Exit statuses: 0 success, 2 timeout, 3 extinction, 1 usage/config error. A
-batch exits 0 once every seed has run; each summary row's status tells how
-that seed ended.
+Exit statuses: 0 success (no robot is left live or pending, and at least
+one arrived), 2 timeout, 3 extinction, 1 usage/config error. A batch exits
+0 once every seed has run; each summary row's status tells how that seed
+ended.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Optional, TextIO
 
-from .comms import TRACKER_CSV_HEADER, DeliveryCount, TrackerLog
+from .comms import TRACKER_CSV_HEADER
 from .config import ConfigError, ScenarioConfig, ascii_int, config_overrides, parse_config
 from .engine import TRACE_HEADER, RunResult, run
 
@@ -119,13 +120,10 @@ def stream_run(cfg: ScenarioConfig, out_dir: Path, suffix: str = "") -> RunResul
     """Run cfg, streaming trace{suffix}.csv and, without a suffix,
     tracker.csv; then write field{suffix}.csv for aco."""
     with ExitStack() as files:
-        trace = _Stream(files, out_dir / f"trace{suffix}.csv", TRACE_HEADER)
-        if suffix:
-            tracker, streams = DeliveryCount(), (trace,)
-        else:
-            tracker_file = _Stream(files, out_dir / "tracker.csv", TRACKER_CSV_HEADER)
-            tracker, streams = TrackerLog(tracker_file.write), (trace, tracker_file)
-        result = run(cfg, trace, tracker)
+        streams = [_Stream(files, out_dir / f"trace{suffix}.csv", TRACE_HEADER)]
+        if not suffix:
+            streams.append(_Stream(files, out_dir / "tracker.csv", TRACKER_CSV_HEADER))
+        result = run(cfg, *streams)  # a batch seed passes no tracker, so only counts
         for stream in streams:
             stream.open()  # a run without rows still gets its header
     if cfg.controller == "aco":

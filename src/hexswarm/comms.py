@@ -21,9 +21,9 @@ sender, ascending, relays each origin it got at hop h - 1, ascending, to
 the neighbors that lack that origin's messages. So a robot at hop distance
 h gets them from its least-id neighbor at distance h - 1, and deliveries
 come out in the rounds' order (round, sender, origin, seq, relay), with
-nothing to sort. ``DeliveryCount`` only counts deliveries, so no row is
-formatted for it; ``TrackerLog`` hands tracker.csv rows to its ``write``,
-which keeps them in memory unless it is given a file's.
+nothing to sort. A flood hands its tracker.csv rows to a tracker, anything
+with ``write``: a file's, or a ``TrackerLog``, which keeps them in memory.
+Without a tracker it formats no rows and only counts.
 Rather than per-robot inboxes, the flood fills in each origin's reach, the
 mask of the robots within ttl hops of it: with one ttl for all, the comm
 graph's symmetry makes them the origins the origin hears. So a message needs
@@ -64,46 +64,23 @@ class TrackEntry(NamedTuple):
 TRACKER_CSV_HEADER = ("tick", "msg_origin", "msg_seq", "relay", "hops")
 
 
-class DeliveryCount:
-    """Tracker that keeps only the number of deliveries."""
-
-    keeps_rows = False  # a flood formats no rows for it
+class TrackerLog:
+    """Observation record of every delivery across the ad hoc network, as
+    the text of its tracker.csv rows, kept in parts (one string per flood)
+    and parsed back into entries when read."""
 
     def __init__(self) -> None:
-        self.count = 0
-
-    def add_rows(self, text: str, count: int) -> None:
-        """Take one flood's tracker.csv rows (empty unless keeps_rows) and count."""
-        self.count += count
+        self.parts: list[str] = []
+        self.write = self.parts.append  # the list's method: the log holds no cycle to itself
 
     def __len__(self) -> int:
-        return self.count
-
-
-class TrackerLog(DeliveryCount):
-    """Observation record of every delivery across the ad hoc network, as
-    the text of its tracker.csv rows handed to write, by default kept in
-    parts (one string per flood) and parsed back into entries when read."""
-
-    keeps_rows = True
-
-    def __init__(self, write=None) -> None:
-        super().__init__()
-        self.parts: list[str] = []
-        self.write = self.parts.append if write is None else write
-
-    def add_rows(self, text: str, count: int) -> None:
-        self.write(text)
-        self.count += count
+        return sum(part.count("\n") for part in self.parts)
 
     def record(self, tick: int, msg: Message, relay: int, hops: int) -> None:
         self.write(f"{tick},{msg.origin},{msg.seq},{relay},{hops}\n")
-        self.count += 1
 
     @property
     def entries(self) -> list[TrackEntry]:
-        if self.write != self.parts.append:
-            raise ValueError("TrackerLog.entries: the rows went to write, not to this log")
         lines = "".join(self.parts).splitlines()
         return [TrackEntry._make(map(int, line.split(","))) for line in lines]
 
@@ -235,7 +212,7 @@ def flood_until_quiet(
     outbox: dict[int, Sequence[int]],
     ttl: int,
     reach: dict[int, int],
-    tracker: DeliveryCount,
+    tracker=None,
     tick: int = 0,
 ) -> int:
     """Flood each origin's freshly sent messages to ttl hops until no round
@@ -244,10 +221,11 @@ def flood_until_quiet(
     masks holds each robot's neighbors, as ``neighbor_masks`` builds them;
     outbox maps an origin to the seqs of its new messages, ascending.
     reach[origin] is set to the mask of the robots within ttl hops of the
-    origin, the origin excluded. The tracker gets every delivery in the
-    order the rounds of ``flood_round`` make them.
+    origin, the origin excluded. A tracker's ``write`` gets the flood's rows,
+    every delivery in the order the rounds of ``flood_round`` make them, in
+    one call, an empty flood's included; with none, no row is formatted.
     """
-    keep = tracker.keeps_rows
+    keep = tracker is not None
     heads = {}  # origin -> a row head per message, seq ascending (a count needs only len)
     reached = {}  # origin -> mask of the robots that hold its messages
     for origin, seqs in outbox.items():
@@ -284,7 +262,8 @@ def flood_until_quiet(
         queues = relayed
     for origin, mask in reached.items():
         reach[origin] = mask ^ (1 << origin)
-    tracker.add_rows("".join(lines), total)
+    if keep:
+        tracker.write("".join(lines))
     return total
 
 

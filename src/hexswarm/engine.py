@@ -10,9 +10,10 @@ per controller, doing all of that controller's work: bco elects its leader
 first, and aco evaporates the fields after its decisions. Each branch hands
 conflict resolution a ``Move`` per live robot, keyed by robot id.
 
-A run hands its records to two sinks as it goes: each tick's trace rows to
-``state.trace`` (``extend``) and each flood's deliveries to ``state.tracker``
-(see ``comms``). Both default to memory, a list and a ``TrackerLog``; a
+A run hands each tick's trace rows to ``state.trace`` (``extend``), by
+default a list, and each flood's tracker.csv rows to ``state.tracker``
+(``write``, see ``comms``), by default None: the run then formats no rows,
+and counts its deliveries in ``state.messages_delivered`` either way. A
 caller that passes file-backed sinks to ``run`` keeps memory flat in the
 run's length.
 
@@ -29,13 +30,11 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 from math import fsum
-from typing import Optional
+from typing import Any, Optional
 
 from .aco import PheromoneField, decide_move_aco
 from .bco import DanceBoard, dance_strength, decide_move_bco, elect_leader
 from .comms import (
-    DeliveryCount,
-    TrackerLog,
     comm_neighbors,
     connectivity_components,
     flood_until_quiet,
@@ -103,7 +102,8 @@ class SimState:
     pending_spawn: list[int]
     tick: int = 0
     board: Optional[DanceBoard] = None  # bco only
-    tracker: DeliveryCount = field(default_factory=TrackerLog)  # delivery sink
+    tracker: Any = None  # delivery row sink: anything with write, or None
+    messages_delivered: int = 0
     global_pher: Optional[PheromoneField] = None  # observer field, never read by robots
     trace: list[tuple] = field(default_factory=list)  # row sink: anything with extend
     median_series: list[float] = field(default_factory=list)
@@ -288,7 +288,7 @@ def tick(state: SimState) -> None:
             masks[spawned] |= 1 << nb
             masks[nb] |= 1 << spawned
     reach: dict[int, int] = {}
-    flood_until_quiet(masks, outbox, cfg.ttl, reach, state.tracker, t)
+    state.messages_delivered += flood_until_quiet(masks, outbox, cfg.ttl, reach, state.tracker, t)
 
     observations = _assemble_observations(state, reach, sensed, moved)
 
@@ -399,7 +399,7 @@ def build_summary(state: SimState, status: str) -> dict:
         "ticks": state.tick,
         "first_arrival_tick": state.first_arrival_tick,
         "fraction_arrived": state.arrived_count() / cfg.robots,
-        "messages_delivered": len(state.tracker),
+        "messages_delivered": state.messages_delivered,
         "median_distance": state.median_series,
         "mean_distance": state.mean_series,
         "largest_component": state.component_series,
@@ -410,15 +410,16 @@ def build_summary(state: SimState, status: str) -> dict:
     return summary
 
 
-def run(cfg: ScenarioConfig, trace=None, tracker: Optional[DeliveryCount] = None) -> RunResult:
+def run(cfg: ScenarioConfig, trace=None, tracker=None) -> RunResult:
     """Run a scenario to success, extinction, or the tick limit, handing
-    trace rows and deliveries to the given sinks (by default a list and a
-    ``TrackerLog``)."""
+    trace rows to trace (by default a list) and tracker.csv rows to tracker
+    (by default none: the deliveries are only counted; ``TrackerLog()``
+    keeps them). Success: no robot is left live or pending, and at least
+    one arrived."""
     state = init_state(cfg)
     if trace is not None:
         state.trace = trace
-    if tracker is not None:
-        state.tracker = tracker
+    state.tracker = tracker
     status = STATUS_TIMEOUT
     while state.tick < cfg.max_ticks:
         tick(state)

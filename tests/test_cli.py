@@ -16,6 +16,7 @@ import pytest
 
 from hexswarm import cli, engine
 from hexswarm.cli import field_csv, main, trace_csv, tracker_csv
+from hexswarm.comms import TrackerLog
 from hexswarm.config import config_overrides, parse_config
 from hexswarm.engine import TRACE_HEADER, run
 from test_golden import cli_configs, in_memory_files
@@ -106,7 +107,7 @@ class TestSingleRun:
         cfg = config_overrides(parse_config(text), controller="aco", seed=1, max_ticks=100)
         tracemalloc.start()
         try:
-            result = run(cfg)
+            result = run(cfg, tracker=TrackerLog())
             size = len(tracker_csv(result))
             held = tracemalloc.get_traced_memory()[0]
             result.state.tracker = None

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from hexswarm.bco import DanceBoard
 from hexswarm.comms import (
-    DeliveryCount,
     Message,
     TrackerLog,
     comm_neighbors,
@@ -184,7 +183,7 @@ def flood_fresh(positions, comm_range, messages, tracker=None, tick=0):
         outbox,
         ttl,
         reach,
-        TrackerLog() if tracker is None else tracker,
+        tracker,
         tick,
     )
     return made, reach
@@ -216,16 +215,6 @@ class TestFloodRound:
         _, reach = flood_fresh(self.chain(), 1, [msg(origin=0, ttl=1)], tracker)
         assert reach_ids(reach) == {0: [1]}
         assert [e.relay for e in tracker.entries] == [1]
-
-    def test_entries_of_a_log_that_writes_elsewhere_fail(self):
-        """A log given write counts its deliveries but keeps no rows to parse."""
-        written = []
-        tracker = TrackerLog(written.append)
-        made, _ = flood_fresh(self.chain(), 1, [msg(origin=0, ttl=2)], tracker)
-        assert len(tracker) == made == 2
-        assert "".join(written) == "0,0,0,1,1\n0,0,0,2,2\n"
-        with pytest.raises(ValueError, match="the rows went to write"):
-            tracker.entries
 
     def test_reinjection_after_full_delivery_is_silent(self):
         positions = self.chain()
@@ -373,12 +362,13 @@ class TestFloodUntilQuiet:
     @PROPERTY
     @given(flood_cases())
     def test_counting_sink_gets_the_same_count(self, case):
-        """A DeliveryCount gets no rows, only the count a TrackerLog gets."""
+        """A flood without a tracker formats no rows, yet returns the count
+        and reach it returns with a TrackerLog."""
         positions, comm_range, sends = case
-        logged, counted = TrackerLog(), DeliveryCount()
+        logged = TrackerLog()
         made, reach = flood_fresh(positions, comm_range, sends, logged)
-        assert flood_fresh(positions, comm_range, sends, counted) == (made, reach)
-        assert len(counted) == len(logged) == len(logged.entries) == made
+        assert flood_fresh(positions, comm_range, sends, None) == (made, reach)
+        assert len(logged) == len(logged.entries) == made
 
     def flood_as_rounds_do(self, positions, comm_range, sends):
         """(tracker entries, reach) of flood_until_quiet, its entries held to

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from hexswarm import engine
 from hexswarm.bco import DanceBoard, dance_strength
 from hexswarm.comms import (
+    TrackerLog,
     comm_neighbors,
     connectivity_components,
     flood_until_quiet,
@@ -375,6 +376,14 @@ class TestRun:
         assert res.status == STATUS_EXTINCT
         assert res.exit_code == 3
 
+    def test_success_needs_one_arrival_not_every_robot(self):
+        """Success is no robot left live or pending with at least one
+        arrived: a robot removed by script does not arrive."""
+        res = run(parse_config(cfg_text(robots=3, removals="1:2", seed=2)))
+        assert res.status == STATUS_SUCCESS
+        assert res.exit_code == 0
+        assert res.summary["fraction_arrived"] == 2 / 3
+
     def test_fraction_arrived_counts_retired_robots(self):
         res = run(parse_config(cfg_text(robots=5, radius=6, margin=1, target="2,0", entry="-2,0", max_ticks=200, seed=1)))
         arrived = sum(1 for r in res.state.robots.values() if r.arrived)
@@ -452,6 +461,7 @@ class TestRemovalsProperty:
     def test_invariants_hold_every_tick_and_runs_replay(self, text):
         cfg = parse_config(text)
         state = init_state(cfg)
+        state.tracker = TrackerLog()
         while state.tick < cfg.max_ticks:
             tick(state)
             check_invariants(state)
@@ -460,7 +470,7 @@ class TestRemovalsProperty:
         for t, rid in cfg.removals:
             if t < state.tick and not state.robots[rid].arrived:
                 assert state.robots[rid].scripted_removed
-        again = run(parse_config(text))
+        again = run(parse_config(text), tracker=TrackerLog())
         assert again.trace == state.trace
         assert again.state.tracker.entries == state.tracker.entries
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from hexswarm.cli import build_parser, field_csv, main, trace_csv, tracker_csv
-from hexswarm.comms import DeliveryCount
+from hexswarm.comms import TrackerLog
 from hexswarm.config import config_overrides, parse_config
 from hexswarm.engine import run
 
@@ -125,12 +125,12 @@ def cli_configs(scenario: Path, flags: str):
 
 
 def in_memory_files(scenario: Path, flags: str) -> dict[str, bytes]:
-    """The csv files of the CLI run (scenario, flags), made by the library's
-    in-memory sinks: every trace row in a list, every delivery in a
-    ``TrackerLog``'s parts."""
+    """The csv files of the CLI run (scenario, flags), made in memory: every
+    trace row in the list a run keeps by default, every delivery in the
+    parts of the ``TrackerLog`` it is given."""
     files = {}
     for suffix, cfg in cli_configs(scenario, flags):
-        result = run(cfg)
+        result = run(cfg, tracker=TrackerLog())
         files[f"trace{suffix}.csv"] = trace_csv(result).encode()
         if cfg.controller == "aco":
             files[f"field{suffix}.csv"] = field_csv(result).encode()
@@ -150,13 +150,13 @@ def test_memory_sinks_match_the_streamed_files(tmp_path, scenario, flags):
     "scenario,flags", list(GOLDEN), ids=[f"{s.rsplit('/', 1)[-1]} {f}" for s, f in GOLDEN]
 )
 def test_counting_sink_counts_what_the_log_holds(scenario, flags):
-    """A flood formats no rows for a DeliveryCount; it must count every
-    delivery a TrackerLog gets, and the run must not change."""
+    """The default run keeps no tracker, so no row is formatted; it must
+    count every delivery a TrackerLog gets, and the run must not change."""
     for _, cfg in cli_configs(REPO / scenario, flags):
-        logged = run(cfg)
-        counted = run(cfg, tracker=DeliveryCount())
-        assert len(counted.state.tracker) == len(logged.state.tracker)
-        assert len(logged.state.tracker) == len(logged.state.tracker.entries)
+        logged = run(cfg, tracker=TrackerLog())
+        counted = run(cfg)
+        assert counted.state.tracker is None
+        assert counted.state.messages_delivered == len(logged.state.tracker.entries)
         assert (counted.trace, counted.summary) == (logged.trace, logged.summary)
 
 
