@@ -7,6 +7,15 @@ and take their final names only when the run returns, so memory stays flat
 in max_ticks and a failed run leaves neither. A batch writes no tracker.csv:
 its runs format no tracker rows and only count their deliveries.
 
+A single run where this process may use 2 CPUs or more forks one writer
+process at its first flood, which formats tracker.csv's rows while the run's
+own floods only count; ``_TrackerWriter`` says how. The bytes are the same
+as one process's: ``taskset -c 0`` runs one, which formats the rows itself.
+Memory is per process: on a dense aco run (perfbench's dense.cfg) the
+writer peaks at about 14 MB, the run's own process at about 20 MB. A killed
+run's writer ends at the pipe's end and renames nothing, so the temp files
+stay, and no file takes its final name.
+
 A batch shares its seeds over one forked process per CPU this process may
 use; ``run_batch`` says how, and what a batch that fails or is killed
 leaves.
@@ -24,14 +33,15 @@ import csv
 import functools
 import io
 import json
+import marshal
 import os
 import sys
 import tempfile
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
 
-from .comms import TRACKER_CSV_HEADER
+from .comms import TRACKER_CSV_HEADER, flood_until_quiet
 from .config import ConfigError, ScenarioConfig, ascii_int, config_overrides, parse_config
 from .engine import TRACE_HEADER, RunResult, run
 
@@ -116,14 +126,122 @@ def field_csv(result: RunResult) -> str:
     return _csv_text(("tick", "q", "r", "level"), rows)
 
 
+def _fork_piped(
+    child: Callable[[int], None], to_child: bool, held: Iterable[int] = ()
+) -> tuple[int, int]:
+    """Fork a process that runs child(fd), fd its end of a new pipe, which
+    it reads when to_child and writes otherwise. The process closes held,
+    other pipes' ends it must not keep open, and ends with ``os._exit``
+    whatever happens, 0 when child returns, so it never returns into the
+    caller. Returns (pid, this process's end); raises OSError when no pipe or
+    process can be made."""
+    read_end, write_end = os.pipe()
+    mine, theirs = (write_end, read_end) if to_child else (read_end, write_end)
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid:
+        os.close(theirs)
+        return pid, mine
+    status = 1
+    try:
+        for fd in (mine, *held):
+            os.close(fd)
+        child(theirs)
+        status = 0
+    except BaseException:
+        import traceback  # the parent sees only the exit status
+
+        traceback.print_exc()
+    finally:
+        os._exit(status)
+
+
+class _TrackerWriter:
+    """tracker.csv's rows, formatted in a forked writer process while the
+    run's own floods only count.
+
+    The first ``flood`` forks the writer, once the temp file is open and its
+    header written, where this process may use 2 CPUs or more; it then sends
+    each flood's inputs over a pipe, marshalled, with each outbox range as
+    (start, stop). The writer runs the same ``flood_until_quiet`` on them with
+    the temp file as its tracker, and ends when it reads the pipe's end. With
+    no writer (1 CPU, or no pipe or process to spare) ``flood`` returns False
+    and the rows go to ``write``, in this process. ``close`` closes the pipe
+    and waits for the writer, raising a RuntimeError if it failed; the
+    caller calls it before any file takes its final name."""
+
+    def __init__(self, stream: _Stream) -> None:
+        self.write = stream.write
+        self._stream = stream
+        self._pid: Optional[int] = None  # the writer's, once flood has run; 0 without one
+        self._pipe: Optional[BinaryIO] = None
+
+    def flood(self, masks: dict[int, int], outbox: dict[int, range], ttl: int, tick: int) -> bool:
+        if self._pid is None:
+            self._pid = self._fork() if usable_cpus() >= 2 else 0
+        if not self._pid:
+            return False
+        frame = marshal.dumps(
+            (masks, {origin: (s.start, s.stop) for origin, s in outbox.items()}, ttl, tick)
+        )
+        self._pipe.write(len(frame).to_bytes(4, "little") + frame)
+        return True
+
+    def _fork(self) -> int:
+        """The writer's pid, or 0 where no pipe or process can be made."""
+        fh = self._stream.open()
+        fh.flush()  # else the writer's copy of the buffer writes the header again
+
+        def write_rows(frames_fd: int) -> None:
+            with os.fdopen(frames_fd, "rb") as frames:
+                while size := frames.read(4):
+                    frame = frames.read(int.from_bytes(size, "little"))
+                    masks, outbox, ttl, tick = marshal.loads(frame)
+                    seqs = {origin: range(*span) for origin, span in outbox.items()}
+                    flood_until_quiet(masks, seqs, ttl, {}, fh, tick)
+            fh.flush()
+
+        try:
+            pid, frames_fd = _fork_piped(write_rows, to_child=True)
+        except OSError:
+            return 0
+        self._pipe = os.fdopen(frames_fd, "wb")
+        return pid
+
+    def close(self) -> None:
+        """Close the pipe and wait for the writer, which reads to its end
+        first; raises a RuntimeError if the writer failed."""
+        pid, self._pid = self._pid, 0
+        if not pid:
+            return
+        try:
+            self._pipe.close()
+        except BrokenPipeError:
+            pass  # the writer has ended: its exit code says why
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code != 0:
+            raise RuntimeError(f"tracker.csv: the writer process exited with code {code}")
+
+
 def stream_run(cfg: ScenarioConfig, out_dir: Path, suffix: str = "") -> RunResult:
     """Run cfg, streaming trace{suffix}.csv and, without a suffix,
-    tracker.csv; then write field{suffix}.csv for aco."""
+    tracker.csv, its rows formatted by a ``_TrackerWriter``; then write
+    field{suffix}.csv for aco."""
     with ExitStack() as files:
         streams = [_Stream(files, out_dir / f"trace{suffix}.csv", TRACE_HEADER)]
+        tracker = None  # a batch seed has none, so its floods only count
         if not suffix:
             streams.append(_Stream(files, out_dir / "tracker.csv", TRACKER_CSV_HEADER))
-        result = run(cfg, *streams)  # a batch seed passes no tracker, so only counts
+            tracker = _TrackerWriter(streams[1])
+        try:
+            result = run(cfg, streams[0], tracker)
+        finally:
+            if tracker is not None:
+                tracker.close()  # before any file takes its final name
         for stream in streams:
             stream.open()  # a run without rows still gets its header
     if cfg.controller == "aco":
@@ -165,24 +283,11 @@ def _fork_share(
     """Fork a process that runs seeds and reports back over a pipe: a
     summary row a line for the seeds that ran, then, if one raised, a NUL
     byte and the pickled exception and its traceback. The process closes
-    held, the earlier shares' read ends, and ends with ``os._exit`` whatever
-    happens, so it never returns into the caller. Returns (pid, read end);
-    raises OSError when no pipe or process can be made."""
+    held, the earlier shares' read ends. Returns (pid, read end); raises
+    OSError when no pipe or process can be made."""
     parent = os.getpid()
-    fd, report_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(fd)
-        os.close(report_fd)
-        raise
-    if pid:
-        os.close(report_fd)
-        return pid, fd
-    status = 1
-    try:
-        for held_fd in (fd, *held):
-            os.close(held_fd)
+
+    def share(report_fd: int) -> None:
         # A process whose parent has gone (killed, say) is adopted by another
         # and runs no further seed: no one is left to read its rows.
         rows, exc = _run_share(cfg, out_dir, (seed for seed in seeds if os.getppid() == parent))
@@ -195,9 +300,8 @@ def _fork_share(
             report += b"\0" + pickle.dumps((exc, text))
         with os.fdopen(report_fd, "wb") as pipe:
             pipe.write(report)
-        status = 0
-    finally:
-        os._exit(status)
+
+    return _fork_piped(share, to_child=False, held=held)
 
 
 def _reap(seeds: range, pid: int, fd: int) -> tuple[list[str], Optional[BaseException]]:

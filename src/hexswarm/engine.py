@@ -11,10 +11,15 @@ first, and aco evaporates the fields after its decisions. Each branch hands
 conflict resolution a ``Move`` per live robot, keyed by robot id.
 
 A run hands each tick's trace rows to ``state.trace`` (``extend``), by
-default a list, and each flood's tracker.csv rows to ``state.tracker``
-(``write``, see ``comms``), by default None: the run then formats no rows,
-and counts its deliveries in ``state.messages_delivered`` either way. A
-caller that passes file-backed sinks to ``run`` keeps memory flat in the
+default a list, and each flood's tracker.csv rows to ``state.tracker``, by
+default None: the run then formats no rows. A tracker is of one of two
+kinds. A text sink has ``write`` and gets the rows the flood formats (see
+``comms``). A flood sink also has ``flood(masks, outbox, ttl, tick)``, which
+takes the flood's inputs and returns True when it formats the rows itself,
+elsewhere (the CLI's writer process does); the run's own flood then formats
+nothing, and a False sends the rows to its ``write``. Either way the run
+floods once a tick and counts its deliveries in ``state.messages_delivered``.
+A caller that passes file-backed sinks to ``run`` keeps memory flat in the
 run's length.
 
 Every random draw comes from a stream derived from the root seed by a
@@ -102,7 +107,7 @@ class SimState:
     pending_spawn: list[int]
     tick: int = 0
     board: Optional[DanceBoard] = None  # bco only
-    tracker: Any = None  # delivery row sink: anything with write, or None
+    tracker: Any = None  # delivery row sink: a text or flood sink, or None
     messages_delivered: int = 0
     global_pher: Optional[PheromoneField] = None  # observer field, never read by robots
     trace: list[tuple] = field(default_factory=list)  # row sink: anything with extend
@@ -288,7 +293,10 @@ def tick(state: SimState) -> None:
             masks[spawned] |= 1 << nb
             masks[nb] |= 1 << spawned
     reach: dict[int, int] = {}
-    state.messages_delivered += flood_until_quiet(masks, outbox, cfg.ttl, reach, state.tracker, t)
+    tracker = state.tracker
+    if hasattr(tracker, "flood") and tracker.flood(masks, outbox, cfg.ttl, t):
+        tracker = None  # the rows are formatted elsewhere: this flood only counts
+    state.messages_delivered += flood_until_quiet(masks, outbox, cfg.ttl, reach, tracker, t)
 
     observations = _assemble_observations(state, reach, sensed, moved)
 

@@ -16,7 +16,7 @@ import pytest
 
 from hexswarm import cli, engine
 from hexswarm.cli import field_csv, main, trace_csv, tracker_csv
-from hexswarm.comms import TrackerLog
+from hexswarm.comms import TRACKER_CSV_HEADER, TrackerLog
 from hexswarm.config import config_overrides, parse_config
 from hexswarm.engine import TRACE_HEADER, run
 from test_golden import cli_configs, in_memory_files
@@ -230,6 +230,13 @@ def use_cpus(monkeypatch, n):
     monkeypatch.setattr(cli, "usable_cpus", lambda: n)
 
 
+def count_forks(monkeypatch) -> list[int]:
+    forks = []
+    real_fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    return forks
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -258,9 +265,7 @@ class TestSharedBatch:
     @pytest.mark.parametrize("cpus", [3, 7])  # shares of 2, 2 and 1 seeds; more CPUs than seeds
     def test_shares_write_what_each_seed_gives_alone(self, tmp_path, monkeypatch, cpus):
         use_cpus(monkeypatch, cpus)
-        forks = []
-        real_fork = os.fork
-        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        forks = count_forks(monkeypatch)
         out = tmp_path / "batch"
         code = main(["--scenario", write_scenario(tmp_path, ACO), "--seed", "5", "--batch", "5",
                      "--out", str(out)])  # fmt: skip
@@ -436,6 +441,136 @@ class TestBatchWithoutFork:
         main(["--scenario", write_scenario(tmp_path, ACO), "--seed", "5", "--batch", "5",
               "--out", str(out)])  # fmt: skip
         assert files_of(out) == each_seed_alone(tmp_path, 5, 5)
+
+
+def csv_files(out: Path) -> dict[str, bytes]:
+    return {name: data for name, data in files_of(out).items() if name.endswith(".csv")}
+
+
+def single_alone(tmp_path) -> dict[str, bytes]:
+    """The csv files of an aco run of seed 7, made by ``run`` into the
+    in-memory sinks."""
+    return in_memory_files(Path(write_scenario(tmp_path, ACO)), "--seed 7")
+
+
+# A single aco run of dense.cfg on 2 CPUs, run in a fresh interpreter: argv
+# is (src, scenario, out).
+DENSE_SINGLE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import hexswarm.cli
+hexswarm.cli.usable_cpus = lambda: 2
+hexswarm.cli.main(["--scenario", sys.argv[2], "--controller", "aco", "--out", sys.argv[3]])
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only where os.fork exists")
+class TestTrackerWriter:
+    """A single run on 2 CPUs or more formats tracker.csv's rows in one
+    forked writer process, and only counts its own floods: the same bytes,
+    no process outlives main, and no file takes its final name unless the
+    writer ended well."""
+
+    def single(self, tmp_path, *flags):
+        out = tmp_path / "single"
+        try:
+            return main(["--scenario", write_scenario(tmp_path, ACO), "--seed", "7",
+                         *flags, "--out", str(out)])  # fmt: skip
+        finally:
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("at_tick", [0, 1, 30])
+    def test_crash_leaves_nothing(self, tmp_path, monkeypatch, at_tick):
+        use_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        TestCrashSafety.crash(monkeypatch, 7, at_tick)
+        with pytest.raises(RuntimeError, match="^crash$"):
+            self.single(tmp_path)
+        assert len(forks) == min(at_tick, 1)  # the writer forks at the first flood
+        assert list((tmp_path / "single").iterdir()) == []
+
+    @pytest.mark.parametrize("at_tick", [0, 30])
+    @pytest.mark.parametrize("how,code", [("exits", 9), ("raises", 1)])
+    def test_writer_that_fails(self, tmp_path, monkeypatch, at_tick, how, code):
+        parent, real_flood = os.getpid(), cli.flood_until_quiet
+
+        def flood(masks, outbox, ttl, reach, tracker, tick):
+            if tick == at_tick and os.getpid() != parent:
+                if how == "exits":
+                    os._exit(code)
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return real_flood(masks, outbox, ttl, reach, tracker, tick)
+
+        monkeypatch.setattr(cli, "flood_until_quiet", flood)  # the writer's name for it
+        use_cpus(monkeypatch, 2)
+        match = f"^tracker.csv: the writer process exited with code {code}$"
+        with pytest.raises(RuntimeError, match=match):
+            self.single(tmp_path)
+        assert list((tmp_path / "single").iterdir()) == []
+
+    def test_engine_floods_once_a_tick_and_counts_every_delivery(self, tmp_path, monkeypatch):
+        """perfbench's traced run counts comms.deliveries from what the
+        engine's flood_until_quiet returns, looked up in its namespace."""
+        use_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        floods, real_flood = [], engine.flood_until_quiet
+
+        def flood(masks, outbox, ttl, reach, tracker, tick):
+            floods.append((tick, tracker, real_flood(masks, outbox, ttl, reach, tracker, tick)))
+            return floods[-1][2]
+
+        monkeypatch.setattr(engine, "flood_until_quiet", flood)
+        self.single(tmp_path)
+        summary = json.loads((tmp_path / "single/summary.json").read_text())
+        assert [(tick, tracker) for tick, tracker, _ in floods] == [
+            (tick, None) for tick in range(summary["ticks"])
+        ]
+        assert sum(delivered for *_, delivered in floods) == summary["messages_delivered"] > 0
+        assert len(forks) == 1
+        assert csv_files(tmp_path / "single") == single_alone(tmp_path)
+
+    def test_killed_command_leaves_no_tracker_csv(self, tmp_path):
+        """The writer ends at the pipe's end once the command's process is
+        killed, and renames nothing: the temp files stay, no file takes its
+        final name. Every process holding the extra pipe's write end keeps
+        its read end from reading EOF, so EOF says the writer has ended."""
+        read_end, write_end = os.pipe()
+        scenario = REPO / "perfbench/scenarios/dense.cfg"
+        argv = [sys.executable, "-I", "-c", DENSE_SINGLE, str(REPO / "src"), str(scenario)]
+        proc = subprocess.Popen([*argv, str(tmp_path)], pass_fds=(write_end,))
+        os.close(write_end)
+        try:
+            deadline = time.monotonic() + 60
+            # trace.csv's temp file opens at the end of tick 0, after the writer forked
+            while not any(name.startswith("trace.csv.") for name in os.listdir(tmp_path)):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.005)
+            proc.kill()
+            proc.wait()
+            assert select.select([read_end], [], [], 60)[0] == [read_end]
+            assert os.read(read_end, 1) == b""
+        finally:
+            proc.kill()
+            proc.wait()
+            os.close(read_end)
+        temp_files = sorted(name.partition(".csv.")[0] for name in os.listdir(tmp_path))
+        assert temp_files == ["trace", "tracker"]
+
+    def test_failed_fork_formats_the_rows_here(self, tmp_path, monkeypatch):
+        def fork():
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+        monkeypatch.setattr(os, "fork", fork)
+        use_cpus(monkeypatch, 2)
+        self.single(tmp_path)
+        assert csv_files(tmp_path / "single") == single_alone(tmp_path)
+
+    def test_no_tick_forks_nothing(self, tmp_path, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        forks = count_forks(monkeypatch)
+        assert self.single(tmp_path, "--ticks", "0") == 2
+        assert (tmp_path / "single/tracker.csv").read_text() == ",".join(TRACKER_CSV_HEADER) + "\n"
+        assert forks == []
 
 
 class TestExitStatuses:

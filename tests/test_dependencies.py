@@ -63,3 +63,33 @@ def test_cli_loads_no_process_pool_and_pickles_only_on_failure(tmp_path):
         names = {name.partition(".")[0] for name in loaded[phase]}
         unwanted = ("multiprocessing", "concurrent", "pickle")
         assert [name for name in unwanted if name in names] == []
+
+
+# A single run on 2 CPUs formats tracker.csv in a forked writer process, and
+# sends it each flood's inputs marshalled: marshal is built in, so the run
+# loads no pickle, and no process pool.
+IMPORT_AND_SINGLE_RUN = """
+import json, os, sys
+sys.path.insert(0, sys.argv[1])
+import hexswarm, hexswarm.cli
+hexswarm.cli.usable_cpus = lambda: 2
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
+code = hexswarm.cli.main(["--ticks", "3", "--out", sys.argv[2]])
+print(json.dumps({"modules": sorted(sys.modules), "code": code, "forks": len(forks)}))
+"""
+
+
+def test_single_run_with_a_writer_process_loads_no_pickle_or_pool(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-I", "-c", IMPORT_AND_SINGLE_RUN, str(SRC), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert (loaded["code"], loaded["forks"]) == (2, 1)
+    assert len((tmp_path / "tracker.csv").read_text().splitlines()) > 1
+    names = {name.partition(".")[0] for name in loaded["modules"]}
+    assert [name for name in ("multiprocessing", "concurrent", "pickle") if name in names] == []

@@ -8,10 +8,12 @@ the outputs, and say so.
 """
 
 import hashlib
+import os
 from pathlib import Path
 
 import pytest
 
+from hexswarm import cli
 from hexswarm.cli import build_parser, field_csv, main, trace_csv, tracker_csv
 from hexswarm.comms import TrackerLog
 from hexswarm.config import config_overrides, parse_config
@@ -109,6 +111,51 @@ def test_outputs_match_recorded_digests(tmp_path, scenario, flags):
         p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(tmp_path.iterdir())
     }
     assert (code, digests) == GOLDEN[(scenario, flags)]
+
+
+def tracker_writer(monkeypatch, cpus: int) -> None:
+    """A single run's tracker.csv rows are formatted by a forked writer
+    process where 2 CPUs or more may be used, and by the run's own flood on
+    1, where nothing may fork."""
+    monkeypatch.setattr(cli, "usable_cpus", lambda: cpus)
+    if cpus == 1:
+
+        def fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize(
+    "scenario,flags", list(GOLDEN), ids=[f"{s.rsplit('/', 1)[-1]} {f}" for s, f in GOLDEN]
+)
+def test_digests_with_and_without_the_tracker_writer(tmp_path, monkeypatch, scenario, flags, cpus):
+    tracker_writer(monkeypatch, cpus)
+    test_outputs_match_recorded_digests(tmp_path, scenario, flags)
+
+
+# Recorded at commit ecfec9bb872ad9c7bf893329c1b62e03eea66794, before a
+# single run's tracker.csv rows were formatted in a writer process: with
+# ttl 0 every flood is empty, so tracker.csv holds its header alone.
+TTL0_SCENARIO = "ttl = 0\n" + (REPO / "scenarios/aco_trails.cfg").read_text()
+TTL0_GOLDEN = (2, {
+    "field.csv": "1d5bfa6e6c1e5aa1168defd3cfa510395ba83d1163b1d8c0cd5684e49327f423",
+    "summary.json": "a4748a037877ea58536252d33a8de5865e3b83bad7e030909724e5cfce94625d",
+    "trace.csv": "05e71cf57b32cd5d9693be21260d45a032cc2ea01edf7e5719d17f6aadb1a9dd",
+    "tracker.csv": "926bf1c594fee0d86b69c4745548855c5b7bd46e8ed21863a3c913c7774f6644",
+})
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_ttl_0_matches_recorded_digests(tmp_path, monkeypatch, cpus):
+    tracker_writer(monkeypatch, cpus)
+    scenario = tmp_path / "ttl0.cfg"
+    scenario.write_text(TTL0_SCENARIO)
+    out = tmp_path / "out"
+    code = main(["--scenario", str(scenario), "--seed", "2", "--ticks", "120", "--out", str(out)])
+    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+    assert (code, digests) == TTL0_GOLDEN
 
 
 def cli_configs(scenario: Path, flags: str):
