@@ -25,10 +25,11 @@ def main():
     print("components:", connectivity_components(masks))
 
     for ttl in (3, 7):
-        tracker = TrackerLog()
-        reach = {}
         outbox = {0: [0]}  # robot 0 sends its message seq 0
-        flood_until_quiet(masks, outbox, ttl, reach, tracker)
+        reach = {}
+        flood_until_quiet(masks, outbox, ttl, reach)  # what the run itself uses
+        tracker = TrackerLog()
+        tracker.flood(masks, outbox, ttl, 0)  # the same flood's deliveries, round by round
         entries = tracker.entries
         print(f"\nmessage from robot 0 with ttl {ttl}:")
         for rnd in range(1, max(e.hops for e in entries) + 1):

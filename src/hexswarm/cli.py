@@ -5,12 +5,13 @@ files atomically into the output directory.
 trace.csv and tracker.csv are streamed: rows go into temp files tick by tick
 and take their final names only when the run returns, so memory stays flat
 in max_ticks and a failed run leaves neither. A batch writes no tracker.csv:
-its runs format no tracker rows and only count their deliveries.
+its runs have no tracker, so they format no tracker rows.
 
 A single run where this process may use 2 CPUs or more forks one writer
-process at its first flood, which formats tracker.csv's rows while the run's
-own floods only count; ``_TrackerWriter`` says how. The bytes are the same
-as one process's: ``taskset -c 0`` runs one, which formats the rows itself.
+process at its first flood, which formats tracker.csv's rows while the run
+goes on; ``_TrackerWriter`` says how. The bytes are the same as one
+process's: ``taskset -c 0`` runs one, which formats the rows itself, and
+walks each flood twice, once for the run and once for the rows.
 Memory is per process: on a dense aco run (perfbench's dense.cfg) the
 writer peaks at about 14 MB, the run's own process at about 20 MB. A killed
 run's writer ends at the pipe's end and renames nothing, so the temp files
@@ -41,7 +42,7 @@ from contextlib import ExitStack, contextmanager
 from pathlib import Path
 from typing import BinaryIO, Callable, Iterable, Iterator, Optional, TextIO
 
-from .comms import TRACKER_CSV_HEADER, flood_until_quiet
+from .comms import TRACKER_CSV_HEADER, flood_rows
 from .config import ConfigError, ScenarioConfig, ascii_int, config_overrides, parse_config
 from .engine import TRACE_HEADER, RunResult, run
 
@@ -162,34 +163,33 @@ def _fork_piped(
 
 class _TrackerWriter:
     """tracker.csv's rows, formatted in a forked writer process while the
-    run's own floods only count.
+    run goes on.
 
     The first ``flood`` forks the writer, once the temp file is open and its
     header written, where this process may use 2 CPUs or more; it then sends
     each flood's inputs over a pipe, marshalled, with each outbox range as
-    (start, stop). The writer runs the same ``flood_until_quiet`` on them with
-    the temp file as its tracker, and ends when it reads the pipe's end. With
-    no writer (1 CPU, or no pipe or process to spare) ``flood`` returns False
-    and the rows go to ``write``, in this process. ``close`` closes the pipe
-    and waits for the writer, raising a RuntimeError if it failed; the
-    caller calls it before any file takes its final name."""
+    (start, stop). The writer writes the ``flood_rows`` of each to the temp
+    file, and ends when it reads the pipe's end. With no writer (1 CPU, or
+    no pipe or process to spare) ``flood`` writes the rows itself, in this
+    process. ``close`` closes the pipe and waits for the writer, raising a
+    RuntimeError if it failed; the caller calls it before any file takes its
+    final name."""
 
     def __init__(self, stream: _Stream) -> None:
-        self.write = stream.write
         self._stream = stream
         self._pid: Optional[int] = None  # the writer's, once flood has run; 0 without one
         self._pipe: Optional[BinaryIO] = None
 
-    def flood(self, masks: dict[int, int], outbox: dict[int, range], ttl: int, tick: int) -> bool:
+    def flood(self, masks: dict[int, int], outbox: dict[int, range], ttl: int, tick: int) -> None:
         if self._pid is None:
             self._pid = self._fork() if usable_cpus() >= 2 else 0
         if not self._pid:
-            return False
+            self._stream.write(flood_rows(masks, outbox, ttl, tick))
+            return
         frame = marshal.dumps(
             (masks, {origin: (s.start, s.stop) for origin, s in outbox.items()}, ttl, tick)
         )
         self._pipe.write(len(frame).to_bytes(4, "little") + frame)
-        return True
 
     def _fork(self) -> int:
         """The writer's pid, or 0 where no pipe or process can be made."""
@@ -202,7 +202,7 @@ class _TrackerWriter:
                     frame = frames.read(int.from_bytes(size, "little"))
                     masks, outbox, ttl, tick = marshal.loads(frame)
                     seqs = {origin: range(*span) for origin, span in outbox.items()}
-                    flood_until_quiet(masks, seqs, ttl, {}, fh, tick)
+                    fh.write(flood_rows(masks, seqs, ttl, tick))
             fh.flush()
 
         try:
@@ -233,7 +233,7 @@ def stream_run(cfg: ScenarioConfig, out_dir: Path, suffix: str = "") -> RunResul
     field{suffix}.csv for aco."""
     with ExitStack() as files:
         streams = [_Stream(files, out_dir / f"trace{suffix}.csv", TRACE_HEADER)]
-        tracker = None  # a batch seed has none, so its floods only count
+        tracker = None  # a batch seed has none, so it formats no tracker row
         if not suffix:
             streams.append(_Stream(files, out_dir / "tracker.csv", TRACKER_CSV_HEADER))
             tracker = _TrackerWriter(streams[1])

@@ -14,27 +14,26 @@ each robot scans only the 3 x 3 buckets around its own; ``comm_neighbors``
 scans one robot against all others and is the reference.
 
 ``flood_round`` runs one round over mailboxes of ``Message``s, each with its
-own ttl, re-sends included, and is the reference. ``flood_until_quiet``
-floods what a run sends, each origin's fresh seqs to the tick's one ttl,
-over the masks, round by round until none delivers: in round h each
-sender, ascending, relays each origin it got at hop h - 1, ascending, to
-the neighbors that lack that origin's messages. So a robot at hop distance
-h gets them from its least-id neighbor at distance h - 1, and deliveries
-come out in the rounds' order (round, sender, origin, seq, relay), with
-nothing to sort. A flood hands its tracker.csv rows to a tracker, anything
-with ``write``: a file's, or a ``TrackerLog``, which keeps them in memory.
-Without a tracker it formats no rows and only counts.
-Rather than per-robot inboxes, the flood fills in each origin's reach, the
-mask of the robots within ttl hops of it: with one ttl for all, the comm
-graph's symmetry makes them the origins the origin hears. So a message needs
-no payload, only its (origin, seq): a listener reads what the origins it
-hears report from tables the engine writes once a tick.
+own ttl, re-sends included, and is the reference. A run floods each
+origin's fresh seqs to the tick's one ttl over the masks, and
+``flood_until_quiet`` walks the masks for each origin's reach, the mask of
+the robots within ttl hops of it: with one ttl for all, the comm graph's
+symmetry makes them the origins the origin hears. So a message needs no
+payload, only its (origin, seq): a listener reads what the origins it hears
+report from tables the engine writes once a tick. A tracker, anything with
+``flood(masks, outbox, ttl, tick)`` such as a ``TrackerLog``, which keeps
+the rows in memory, gets the flood's tracker.csv rows from ``flood_rows``:
+in round h each sender, ascending, relays each origin it got at hop h - 1,
+ascending, to the neighbors that lack that origin's messages. So a robot at
+hop distance h gets them from its least-id neighbor at distance h - 1, and
+deliveries come out in the rounds' order (round, sender, origin, seq,
+relay), with nothing to sort.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .hexworld import HexCoord, hex_distance
 
@@ -71,13 +70,15 @@ class TrackerLog:
 
     def __init__(self) -> None:
         self.parts: list[str] = []
-        self.write = self.parts.append  # the list's method: the log holds no cycle to itself
 
     def __len__(self) -> int:
         return sum(part.count("\n") for part in self.parts)
 
+    def flood(self, masks: dict[int, int], outbox, ttl: int, tick: int) -> None:
+        self.parts.append(flood_rows(masks, outbox, ttl, tick))
+
     def record(self, tick: int, msg: Message, relay: int, hops: int) -> None:
-        self.write(f"{tick},{msg.origin},{msg.seq},{relay},{hops}\n")
+        self.parts.append(f"{tick},{msg.origin},{msg.seq},{relay},{hops}\n")
 
     @property
     def entries(self) -> list[TrackEntry]:
@@ -207,37 +208,45 @@ def flood_round(
     return deliveries
 
 
-def flood_until_quiet(
-    masks: dict[int, int],
-    outbox: dict[int, Sequence[int]],
-    ttl: int,
-    reach: dict[int, int],
-    tracker=None,
-    tick: int = 0,
-) -> int:
-    """Flood each origin's freshly sent messages to ttl hops until no round
-    delivers; returns the number of deliveries.
+def flood_until_quiet(masks: dict[int, int], outbox, ttl: int, reach: dict[int, int]) -> int:
+    """Flood each origin's freshly sent messages to ttl hops; returns the
+    number of deliveries.
 
     masks holds each robot's neighbors, as ``neighbor_masks`` builds them;
-    outbox maps an origin to the seqs of its new messages, ascending.
-    reach[origin] is set to the mask of the robots within ttl hops of the
-    origin, the origin excluded. A tracker's ``write`` gets the flood's rows,
-    every delivery in the order the rounds of ``flood_round`` make them, in
-    one call, an empty flood's included; with none, no row is formatted.
+    outbox maps an origin to the seqs of its new messages. reach[origin] is
+    set to the mask of the robots within ttl hops of the origin, the origin
+    excluded, each of which gets each message once. A robot's mask of those
+    within h hops grows a hop a round by taking in its neighbors' masks,
+    until h is the ttl or no mask grows.
     """
-    keep = tracker is not None
-    heads = {}  # origin -> a row head per message, seq ascending (a count needs only len)
-    reached = {}  # origin -> mask of the robots that hold its messages
-    for origin, seqs in outbox.items():
-        heads[origin] = [f"{tick},{origin},{seq}," for seq in seqs] if keep else seqs
-        reached[origin] = 1 << origin
+    within = {rid: mask | 1 << rid for rid, mask in masks.items()}
+    neighbors = {rid: ids_of(mask) for rid, mask in masks.items()} if ttl > 1 else {}
+    for _ in range(ttl - 1):
+        grown = {}
+        for rid, mask in within.items():
+            for nb in neighbors[rid]:
+                mask |= within[nb]
+            grown[rid] = mask
+        if grown == within:
+            break
+        within = grown
+    for origin in outbox:
+        reach[origin] = within[origin] ^ 1 << origin if ttl else 0
+    return sum(reach[origin].bit_count() * len(seqs) for origin, seqs in outbox.items())
+
+
+def flood_rows(masks: dict[int, int], outbox, ttl: int, tick: int) -> str:
+    """The tracker.csv rows of the flood ``flood_until_quiet`` walks, outbox
+    holding each origin's seqs ascending: every delivery, in the order the
+    rounds of ``flood_round`` make them."""
+    heads = {o: [f"{tick},{o},{seq}," for seq in seqs] for o, seqs in outbox.items()}  # row heads
+    reached = {origin: 1 << origin for origin in outbox}  # origin -> robots that hold its messages
     queues = {origin: [origin] for origin in outbox} if ttl else {}  # sender -> origins
     lines = []
-    total = 0
     rnd = 0
     while queues:
         rnd += 1
-        tails = {1 << rid: f"{rid},{rnd}\n" for rid in masks} if keep else None  # a row's end
+        tails = {1 << rid: f"{rid},{rnd}\n" for rid in masks}  # a row's end
         relays_on = rnd < ttl
         relayed = {}
         for sender in sorted(queues):
@@ -247,24 +256,17 @@ def flood_until_quiet(
                 if not fresh:
                     continue
                 reached[origin] |= fresh
-                total += fresh.bit_count() * len(heads[origin])
                 rows = []
-                while fresh and (keep or relays_on):  # a count alone walks no bits
+                while fresh:
                     low = fresh & -fresh
                     if relays_on:
                         relayed.setdefault(low.bit_length() - 1, []).append(origin)
-                    if keep:
-                        rows.append(tails[low])
+                    rows.append(tails[low])
                     fresh ^= low
-                if keep:
-                    for head in heads[origin]:
-                        lines.append(head + head.join(rows))
+                for head in heads[origin]:
+                    lines.append(head + head.join(rows))
         queues = relayed
-    for origin, mask in reached.items():
-        reach[origin] = mask ^ (1 << origin)
-    if keep:
-        tracker.write("".join(lines))
-    return total
+    return "".join(lines)
 
 
 def connectivity_components(masks: dict[int, int]) -> list[list[int]]:

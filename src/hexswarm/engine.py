@@ -1,7 +1,7 @@
 """Deterministic tick loop that owns all mutable state and all rng streams.
 
 Each tick runs fixed phases: scripted removals, spawn, report emission (plus
-observer deposits) into the tables listeners read, flooding to quiescence,
+observer deposits) into the tables listeners read, the reach walk,
 observation assembly from each robot's reach over those tables (plus
 pheromone replica merge), the decide phase, conflict resolution, then one
 pass of trace recording, arrival retirement and distances. Every phase after
@@ -11,16 +11,14 @@ first, and aco evaporates the fields after its decisions. Each branch hands
 conflict resolution a ``Move`` per live robot, keyed by robot id.
 
 A run hands each tick's trace rows to ``state.trace`` (``extend``), by
-default a list, and each flood's tracker.csv rows to ``state.tracker``, by
-default None: the run then formats no rows. A tracker is of one of two
-kinds. A text sink has ``write`` and gets the rows the flood formats (see
-``comms``). A flood sink also has ``flood(masks, outbox, ttl, tick)``, which
-takes the flood's inputs and returns True when it formats the rows itself,
-elsewhere (the CLI's writer process does); the run's own flood then formats
-nothing, and a False sends the rows to its ``write``. Either way the run
-floods once a tick and counts its deliveries in ``state.messages_delivered``.
-A caller that passes file-backed sinks to ``run`` keeps memory flat in the
-run's length.
+default a list, and each flood's inputs to ``state.tracker``, by default
+None: the run then formats no tracker.csv rows. A tracker is anything with
+``flood(masks, outbox, ttl, tick)``; it formats the rows or has them
+formatted (see ``comms``: a ``TrackerLog`` keeps them, the CLI's writer
+process writes them). Whatever the tracker, the run's reach and
+``state.messages_delivered`` come from its one walk a tick,
+``flood_until_quiet``, which no tracker sees. A caller that passes
+file-backed sinks to ``run`` keeps memory flat in the run's length.
 
 Every random draw comes from a stream derived from the root seed by a
 stable label (per-robot-per-tick decide labels, a per-tick conflict label,
@@ -107,7 +105,7 @@ class SimState:
     pending_spawn: list[int]
     tick: int = 0
     board: Optional[DanceBoard] = None  # bco only
-    tracker: Any = None  # delivery row sink: a text or flood sink, or None
+    tracker: Any = None  # gets each flood's inputs, to format its rows; or None
     messages_delivered: int = 0
     global_pher: Optional[PheromoneField] = None  # observer field, never read by robots
     trace: list[tuple] = field(default_factory=list)  # row sink: anything with extend
@@ -292,11 +290,10 @@ def tick(state: SimState) -> None:
         for nb in comm_neighbors(positions, spawned, cfg.comm_range):
             masks[spawned] |= 1 << nb
             masks[nb] |= 1 << spawned
+    if state.tracker is not None:
+        state.tracker.flood(masks, outbox, cfg.ttl, t)
     reach: dict[int, int] = {}
-    tracker = state.tracker
-    if hasattr(tracker, "flood") and tracker.flood(masks, outbox, cfg.ttl, t):
-        tracker = None  # the rows are formatted elsewhere: this flood only counts
-    state.messages_delivered += flood_until_quiet(masks, outbox, cfg.ttl, reach, tracker, t)
+    state.messages_delivered += flood_until_quiet(masks, outbox, cfg.ttl, reach)
 
     observations = _assemble_observations(state, reach, sensed, moved)
 
@@ -420,10 +417,10 @@ def build_summary(state: SimState, status: str) -> dict:
 
 def run(cfg: ScenarioConfig, trace=None, tracker=None) -> RunResult:
     """Run a scenario to success, extinction, or the tick limit, handing
-    trace rows to trace (by default a list) and tracker.csv rows to tracker
-    (by default none: the deliveries are only counted; ``TrackerLog()``
-    keeps them). Success: no robot is left live or pending, and at least
-    one arrived."""
+    trace rows to trace (by default a list) and each flood's inputs to
+    tracker (by default none: no tracker.csv row is formatted;
+    ``TrackerLog()`` keeps them). Success: no robot is left live or
+    pending, and at least one arrived."""
     state = init_state(cfg)
     if trace is not None:
         state.trace = trace

@@ -320,10 +320,12 @@ def test_criterion_09_flooding_matches_bfs_hop_oracle():
         masks = neighbor_masks(positions, 2)
         for ttl in (1, 3, 5):
             reach = {}
+            made = flood_until_quiet(masks, {origin: [0]}, ttl, reach)
             tracker = TrackerLog()
-            flood_until_quiet(masks, {origin: [0]}, ttl, reach, tracker)
+            tracker.flood(masks, {origin: [0]}, ttl, 0)  # its rows, from flood_rows
             reached = {o: ids_of(mask) for o, mask in reach.items()}
             assert reached == {origin: sorted(r for r, h in hops.items() if 0 < h <= ttl)}
+            assert made == len(reached[origin])
             for rid in positions:
                 delivered = {(e.origin, e.seq): e.hops for e in tracker.entries if e.relay == rid}
                 if rid != origin and rid in hops and hops[rid] <= ttl:

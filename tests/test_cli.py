@@ -467,7 +467,7 @@ hexswarm.cli.main(["--scenario", sys.argv[2], "--controller", "aco", "--out", sy
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="the writer forks only where os.fork exists")
 class TestTrackerWriter:
     """A single run on 2 CPUs or more formats tracker.csv's rows in one
-    forked writer process, and only counts its own floods: the same bytes,
+    forked writer process while it goes on: the same bytes,
     no process outlives main, and no file takes its final name unless the
     writer ended well."""
 
@@ -492,16 +492,16 @@ class TestTrackerWriter:
     @pytest.mark.parametrize("at_tick", [0, 30])
     @pytest.mark.parametrize("how,code", [("exits", 9), ("raises", 1)])
     def test_writer_that_fails(self, tmp_path, monkeypatch, at_tick, how, code):
-        parent, real_flood = os.getpid(), cli.flood_until_quiet
+        parent, real_rows = os.getpid(), cli.flood_rows
 
-        def flood(masks, outbox, ttl, reach, tracker, tick):
+        def rows(masks, outbox, ttl, tick):
             if tick == at_tick and os.getpid() != parent:
                 if how == "exits":
                     os._exit(code)
                 raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-            return real_flood(masks, outbox, ttl, reach, tracker, tick)
+            return real_rows(masks, outbox, ttl, tick)
 
-        monkeypatch.setattr(cli, "flood_until_quiet", flood)  # the writer's name for it
+        monkeypatch.setattr(cli, "flood_rows", rows)  # the writer's name for it
         use_cpus(monkeypatch, 2)
         match = f"^tracker.csv: the writer process exited with code {code}$"
         with pytest.raises(RuntimeError, match=match):
@@ -510,22 +510,33 @@ class TestTrackerWriter:
 
     def test_engine_floods_once_a_tick_and_counts_every_delivery(self, tmp_path, monkeypatch):
         """perfbench's traced run counts comms.deliveries from what the
-        engine's flood_until_quiet returns, looked up in its namespace."""
+        engine's flood_until_quiet returns, looked up in its namespace; the
+        tracker gets each flood too."""
         use_cpus(monkeypatch, 2)
         forks = count_forks(monkeypatch)
+        ticks, real_tick = [], engine.tick
         floods, real_flood = [], engine.flood_until_quiet
+        tracked, real_tracker_flood = [], cli._TrackerWriter.flood
 
-        def flood(masks, outbox, ttl, reach, tracker, tick):
-            floods.append((tick, tracker, real_flood(masks, outbox, ttl, reach, tracker, tick)))
-            return floods[-1][2]
+        def tick(state):
+            ticks.append(state.tick)
+            real_tick(state)
 
+        def flood(masks, outbox, ttl, reach):
+            floods.append((ticks[-1], real_flood(masks, outbox, ttl, reach)))
+            return floods[-1][1]
+
+        def tracker_flood(writer, masks, outbox, ttl, tick):
+            tracked.append(tick)
+            real_tracker_flood(writer, masks, outbox, ttl, tick)
+
+        monkeypatch.setattr(engine, "tick", tick)
         monkeypatch.setattr(engine, "flood_until_quiet", flood)
+        monkeypatch.setattr(cli._TrackerWriter, "flood", tracker_flood)
         self.single(tmp_path)
         summary = json.loads((tmp_path / "single/summary.json").read_text())
-        assert [(tick, tracker) for tick, tracker, _ in floods] == [
-            (tick, None) for tick in range(summary["ticks"])
-        ]
-        assert sum(delivered for *_, delivered in floods) == summary["messages_delivered"] > 0
+        assert [tick for tick, _ in floods] == tracked == list(range(summary["ticks"]))
+        assert sum(delivered for _, delivered in floods) == summary["messages_delivered"] > 0
         assert len(forks) == 1
         assert csv_files(tmp_path / "single") == single_alone(tmp_path)
 

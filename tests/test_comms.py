@@ -1,13 +1,16 @@
 """Comms tests: neighbor discovery, TTL flooding against a BFS hop-count
 oracle, duplicate suppression, and connectivity components. The neighbor
-masks and flooding to quiescence are held to their references,
+masks, the reach walk and its rows are held to their references,
 ``comm_neighbors`` and rounds of ``flood_round``."""
 
 import csv
 import io
 import random
+import subprocess
+import sys
 import time
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -171,22 +174,18 @@ class TestNeighborIndex:
 
 def flood_fresh(positions, comm_range, messages, tracker=None, tick=0):
     """flood_until_quiet over the neighbor masks of positions, every message
-    freshly sent by its origin with the one ttl they all have; returns
+    freshly sent by its origin with the one ttl they all have, the same
+    flood's rows going to tracker's ``flood`` when there is one; returns
     (deliveries, reach)."""
     (ttl,) = {message.ttl for message in messages}
     outbox = {}
     for message in sorted(messages):  # each origin's seqs ascending
         outbox.setdefault(message.origin, []).append(message.seq)
+    masks = neighbor_masks(positions, comm_range)
+    if tracker is not None:
+        tracker.flood(masks, outbox, ttl, tick)
     reach = {}
-    made = flood_until_quiet(
-        neighbor_masks(positions, comm_range),
-        outbox,
-        ttl,
-        reach,
-        tracker,
-        tick,
-    )
-    return made, reach
+    return flood_until_quiet(masks, outbox, ttl, reach), reach
 
 
 def reach_ids(reach):
@@ -251,9 +250,10 @@ class TestFloodRound:
             ttl = rng.choice((1, 2, 3, 5))
             origin = rng.randrange(12)
             tracker = TrackerLog()
-            _, reach = flood_fresh(positions, 2, [msg(origin=origin, ttl=ttl)], tracker)
+            made, reach = flood_fresh(positions, 2, [msg(origin=origin, ttl=ttl)], tracker)
             oracle = bfs_hops(positions, 2, origin)
             assert reach_ids(reach) == {origin: sorted(r for r, h in oracle.items() if 0 < h <= ttl)}
+            assert made == len(reach_ids(reach)[origin])
             for rid in positions:
                 got = {(e.origin, e.seq): e.hops for e in tracker.entries if e.relay == rid}
                 if rid == origin:
@@ -322,7 +322,7 @@ def flood_cases(draw, ids=st.integers(0, 60), seqs=st.integers(0, 9)):
     cells = st.builds(HexCoord, st.integers(-4, 4), st.integers(-4, 4))
     positions = draw(st.dictionaries(ids, cells, min_size=2, max_size=16))
     comm_range = draw(st.integers(1, 3))
-    ttl = draw(st.integers(0, 5))
+    ttl = draw(st.integers(0, 7))
     origins = st.lists(st.sampled_from(sorted(positions)), min_size=1, max_size=4, unique=True)
     sends = []
     for origin in draw(origins):
@@ -362,8 +362,8 @@ class TestFloodUntilQuiet:
     @PROPERTY
     @given(flood_cases())
     def test_counting_sink_gets_the_same_count(self, case):
-        """A flood without a tracker formats no rows, yet returns the count
-        and reach it returns with a TrackerLog."""
+        """A tracker changes neither the count nor the reach, and the rows
+        flood_rows gives a TrackerLog number what flood_until_quiet counts."""
         positions, comm_range, sends = case
         logged = TrackerLog()
         made, reach = flood_fresh(positions, comm_range, sends, logged)
@@ -371,8 +371,8 @@ class TestFloodUntilQuiet:
         assert len(logged) == len(logged.entries) == made
 
     def flood_as_rounds_do(self, positions, comm_range, sends):
-        """(tracker entries, reach) of flood_until_quiet, its entries held to
-        those of the rounds driven to quiescence."""
+        """(tracker entries, reach) of flood_rows and flood_until_quiet, the
+        entries and count held to those of the rounds driven to quiescence."""
         tracker = TrackerLog()
         made, reach = flood_fresh(positions, comm_range, sends, tracker, tick=7)
         boxes = new_mailboxes(positions)
@@ -403,6 +403,29 @@ class TestFloodUntilQuiet:
             (0, 2, 3, 2), (0, 5, 3, 2), (0, 9, 3, 2), (3, 1, 0, 2), (3, 1, 2, 2),
         ]
         assert reach_ids(reach) == {0: [1, 2, 3], 3: [0, 1, 2]}
+
+    def test_a_ttl_past_the_diameter_walks_no_further(self):
+        """An 8-robot line has the same reach and count at ttl 10**9 as at
+        ttl 8: the walk stops once no mask grows. It runs in its own
+        process, with a timeout, so that a walk that does not stop fails the
+        test rather than hanging the suite."""
+        walk = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from hexswarm.comms import flood_until_quiet, neighbor_masks
+from hexswarm.hexworld import HexCoord
+masks = neighbor_masks({rid: HexCoord(rid, 0) for rid in range(8)}, 1)
+for ttl in (8, 10**9):
+    reach = {}
+    print(flood_until_quiet(masks, {0: [0, 1], 3: [0], 7: [2]}, ttl, reach), reach)
+"""
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-I", "-c", walk, str(src)], capture_output=True, text=True, timeout=60
+        )
+        assert proc.returncode == 0, proc.stderr
+        at_8, at_huge = proc.stdout.splitlines()
+        assert at_huge == at_8 == f"28 {{0: {0xFE}, 3: {0xF7}, 7: {0x7F}}}"
 
     @PROPERTY
     @given(

@@ -9,6 +9,8 @@ the outputs, and say so.
 
 import hashlib
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -138,24 +140,54 @@ def test_digests_with_and_without_the_tracker_writer(tmp_path, monkeypatch, scen
 # Recorded at commit ecfec9bb872ad9c7bf893329c1b62e03eea66794, before a
 # single run's tracker.csv rows were formatted in a writer process: with
 # ttl 0 every flood is empty, so tracker.csv holds its header alone.
-TTL0_SCENARIO = "ttl = 0\n" + (REPO / "scenarios/aco_trails.cfg").read_text()
-TTL0_GOLDEN = (2, {
-    "field.csv": "1d5bfa6e6c1e5aa1168defd3cfa510395ba83d1163b1d8c0cd5684e49327f423",
-    "summary.json": "a4748a037877ea58536252d33a8de5865e3b83bad7e030909724e5cfce94625d",
-    "trace.csv": "05e71cf57b32cd5d9693be21260d45a032cc2ea01edf7e5719d17f6aadb1a9dd",
-    "tracker.csv": "926bf1c594fee0d86b69c4745548855c5b7bd46e8ed21863a3c913c7774f6644",
-})
+# The ttl 1000000000 case was recorded at commit
+# 91459674f66ad665d443e1e6dfcc3ab491be12e4, before a run's reach came from
+# a walk over the neighbour masks: a walk that ran all ttl - 1 rounds would
+# not end.
+TTL_GOLDEN = {
+    0: (2, {
+        "field.csv": "1d5bfa6e6c1e5aa1168defd3cfa510395ba83d1163b1d8c0cd5684e49327f423",
+        "summary.json": "a4748a037877ea58536252d33a8de5865e3b83bad7e030909724e5cfce94625d",
+        "trace.csv": "05e71cf57b32cd5d9693be21260d45a032cc2ea01edf7e5719d17f6aadb1a9dd",
+        "tracker.csv": "926bf1c594fee0d86b69c4745548855c5b7bd46e8ed21863a3c913c7774f6644",
+    }),
+    1000000000: (2, {
+        "field.csv": "3e5c474cdc48f434bd66a2c8e4ca8e4a85cb73cf2779ddbb3bdf97fae9d372c9",
+        "summary.json": "8ea732dc09cd1a03549eb7a4306a12fe4d6f51abba62f91c3a6e9b7dcfbd1f38",
+        "trace.csv": "70a898c439d538252f6de4300cc4ece47d5100c2e059c8e178455275763ccce8",
+        "tracker.csv": "634da5eaad8c6bca79e3e24f19339e0816412c0395d3d8c0ed8cfe59777e1b23",
+    }),
+}
+
+# main on sys.argv[3:], with src (sys.argv[1]) on the path and usable_cpus
+# giving sys.argv[2], as tracker_writer sets them; on 1 it must not fork.
+MAIN_ON_CPUS = """
+import os, sys
+sys.path.insert(0, sys.argv[1])
+import hexswarm.cli
+cpus = int(sys.argv[2])
+hexswarm.cli.usable_cpus = lambda: cpus
+if cpus == 1:
+    def fork():
+        raise AssertionError("forked")
+    os.fork = fork
+sys.exit(hexswarm.cli.main(sys.argv[3:]))
+"""
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_ttl_0_matches_recorded_digests(tmp_path, monkeypatch, cpus):
-    tracker_writer(monkeypatch, cpus)
-    scenario = tmp_path / "ttl0.cfg"
-    scenario.write_text(TTL0_SCENARIO)
-    out = tmp_path / "out"
-    code = main(["--scenario", str(scenario), "--seed", "2", "--ticks", "120", "--out", str(out)])
-    digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
-    assert (code, digests) == TTL0_GOLDEN
+def test_ttl_0_matches_recorded_digests(tmp_path, cpus):
+    """Each ttl's run goes in its own process, with a timeout, so that a
+    flood that does not end fails the test rather than hanging the suite."""
+    for ttl, golden in TTL_GOLDEN.items():
+        scenario = tmp_path / f"ttl{ttl}.cfg"
+        scenario.write_text(f"ttl = {ttl}\n" + (REPO / "scenarios/aco_trails.cfg").read_text())
+        out = tmp_path / f"out{ttl}"
+        flags = ["--scenario", str(scenario), "--seed", "2", "--ticks", "120", "--out", str(out)]
+        argv = [sys.executable, "-I", "-c", MAIN_ON_CPUS, str(REPO / "src"), str(cpus), *flags]
+        code = subprocess.run(argv, timeout=60).returncode
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+        assert (code, digests) == golden, ttl
 
 
 def cli_configs(scenario: Path, flags: str):
