@@ -193,6 +193,11 @@ def validate_config(cfg: ScenarioConfig) -> None:
     _require(aco.alpha >= 0.0, "alpha", "must be >= 0")
     _require(aco.beta >= 0.0, "beta", "must be >= 0")
     _require(aco.floor >= 0.0, "floor", "must be >= 0")
+    try:  # a level never exceeds deposit_scale / evaporation, and eta^beta <= 1
+        weight_sum = 6 * (aco.deposit_scale / aco.evaporation + aco.floor) ** aco.alpha
+    except OverflowError:
+        weight_sum = math.inf
+    _require(math.isfinite(weight_sum), "alpha", "too large: six transition weights overflow")
 
     bco = cfg.bco
     _require(bco.follow_gain > 0.0, "follow_gain", "must be > 0")

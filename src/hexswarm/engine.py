@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from math import fsum
 from typing import Any, Optional
 
-from .aco import PheromoneField, decide_move_aco
+from .aco import PheromoneField, TransitionTable, decide_move_aco
 from .bco import DanceBoard, dance_strength, decide_move_bco, elect_leader
 from .comms import (
     comm_neighbors,
@@ -108,6 +108,7 @@ class SimState:
     tracker: Any = None  # gets each flood's inputs, to format its rows; or None
     messages_delivered: int = 0
     global_pher: Optional[PheromoneField] = None  # observer field, never read by robots
+    table: Optional[TransitionTable] = None  # aco only: the run's transition rule
     trace: list[tuple] = field(default_factory=list)  # row sink: anything with extend
     median_series: list[float] = field(default_factory=list)
     mean_series: list[float] = field(default_factory=list)
@@ -135,6 +136,7 @@ def init_state(cfg: ScenarioConfig) -> SimState:
         robots=robots,
         pending_spawn=list(range(cfg.robots)),
         global_pher=PheromoneField(cfg.aco) if aco else None,
+        table=TransitionTable(world, cfg.aco) if aco else None,
     )
 
 
@@ -313,7 +315,7 @@ def tick(state: SimState) -> None:
         for rid in live:
             pher = state.robots[rid].pher
             rng = derive_rng(cfg.seed, "decide", t, rid)
-            moves[rid] = decide_move_aco(observations[rid], pher, state.world, cfg.aco, rng)
+            moves[rid] = decide_move_aco(observations[rid], pher, state.table, rng)
             pher.evaporate()
         state.global_pher.evaporate()
     else:

@@ -1,9 +1,13 @@
-"""The GA as separate operators, the reference ``hexswarm.ga.decide_move_ga``
-is tested against.
+"""Oracles no run calls, so they live with the tests.
 
-A run executes one inlined loop over genes ``direction * 3 + speed``. These
-operators draw from the rng in the order that loop must match; no run calls
-them, so they live with the tests.
+The GA as separate operators, the reference ``hexswarm.ga.decide_move_ga``
+is tested against. A run executes one inlined loop over genes
+``direction * 3 + speed``. These operators draw from the rng in the order
+that loop must match.
+
+The ACO transition rule computed afresh on every call, the reference
+``hexswarm.aco``'s table-driven ``transition_probs`` and ``decide_move_aco``
+are tested against bit for bit.
 """
 
 from __future__ import annotations
@@ -11,8 +15,17 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
+from hexswarm.aco import AcoParams, DeadEndError, PheromoneField
 from hexswarm.ga import GaParams, fitness_table
-from hexswarm.hexworld import Direction, Observation, World
+from hexswarm.hexworld import (
+    TARGET_DISTANCE,
+    Direction,
+    HexCoord,
+    Move,
+    Observation,
+    World,
+    accessible_neighbors,
+)
 
 
 class Chromosome(NamedTuple):
@@ -70,3 +83,57 @@ def mutate(ch: Chromosome, rng: random.Random, mutation_prob: float = 0.1) -> Ch
     if rng.random() < mutation_prob:
         speed = int(rng.random() * 3)
     return Chromosome(direction, speed)
+
+
+def transition_probs(
+    c: HexCoord,
+    pher: PheromoneField,
+    obs: Observation,
+    w: World,
+    params: AcoParams,
+) -> list[tuple[Direction, float]]:
+    """Normalized move probabilities over accessible neighbors of c.
+
+    weight(d) = (tau(n_d) + tau0)^alpha * eta(n_d)^beta, with eta the inverse
+    landing distance to the target when the robot knows a target distance and
+    1 otherwise. Falls back to uniform if every weight underflows to 0.
+    """
+    neighbors = accessible_neighbors(w, c)
+    if not neighbors:
+        raise DeadEndError(f"no accessible neighbor at {tuple(c)}")
+    known = obs.best_known_target_distance is not None
+    geometry = w.geometry
+    weights = []
+    for d, n in neighbors:
+        tau = pher.level(n) + params.floor
+        eta = 1.0 / (1 + geometry[n][TARGET_DISTANCE]) if known else 1.0
+        weights.append((d, tau**params.alpha * eta**params.beta))
+    total = sum(wt for _, wt in weights)
+    if total <= 0.0:
+        uniform = 1.0 / len(weights)
+        return [(d, uniform) for d, _ in weights]
+    return [(d, wt / total) for d, wt in weights]
+
+
+def decide_move_aco(
+    obs: Observation,
+    pher: PheromoneField,
+    w: World,
+    params: AcoParams,
+    rng: random.Random,
+) -> Move:
+    """Sample a direction from the transition rule at speed 1; stay when on
+    the target or boxed in."""
+    if obs.situation == w.target:
+        return Move(Direction.E, 0)
+    try:
+        probs = transition_probs(obs.situation, pher, obs, w, params)
+    except DeadEndError:
+        return Move(Direction.E, 0)
+    u = rng.random()
+    cum = 0.0
+    for d, p in probs:
+        cum += p
+        if u < cum:
+            return Move(d, 1)
+    return Move(probs[-1][0], 1)  # guard against fp round-off at u ~ 1

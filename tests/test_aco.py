@@ -1,15 +1,20 @@
 """ACO tests: deposit and evaporation arithmetic, transition probability
-laws against hand-computed values, and the sampled move decision."""
+laws against hand-computed values, the sampled move decision, and the
+run's transition table against the per-call oracle in ``reference``."""
 
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from hexswarm.aco import (
     AcoParams,
     DeadEndError,
     PheromoneField,
+    TransitionTable,
     decide_move_aco,
     transition_probs,
 )
@@ -18,6 +23,7 @@ from hexswarm.hexworld import (
     DIRECTIONS,
     Direction,
     HexCoord,
+    Move,
     World,
     hex_distance,
     make_world,
@@ -73,8 +79,9 @@ class TestEvaporate:
 
     def test_empty_field_stays_empty(self):
         f = PheromoneField(AcoParams(evaporation=0.5))
+        levels = f.levels
         f.evaporate()
-        assert f.levels == {}
+        assert f.levels is levels and levels == {}  # returned at once, nothing rebuilt
 
     def test_tiny_levels_are_pruned(self):
         f = PheromoneField(AcoParams(evaporation=0.5), levels={HexCoord(0, 0): 1e-9})
@@ -183,7 +190,8 @@ class TestDecideMoveAco:
     def test_on_target_stays(self):
         w = small_world(HexCoord(2, 0))
         obs = Observation(situation=HexCoord(2, 0), best_known_target_distance=0)
-        mv = decide_move_aco(obs, PheromoneField(), w, AcoParams(), random.Random(0))
+        table = TransitionTable(w, AcoParams())
+        mv = decide_move_aco(obs, PheromoneField(), table, random.Random(0))
         assert mv.speed == 0
 
     def test_probability_one_mass_is_followed(self):
@@ -193,14 +201,15 @@ class TestDecideMoveAco:
         f = PheromoneField(params, {step(c, Direction(2)): 5.0})
         obs = Observation(situation=c)
         for seed in range(30):
-            mv = decide_move_aco(obs, f, w, params, random.Random(seed))
+            mv = decide_move_aco(obs, f, TransitionTable(w, params), random.Random(seed))
             assert mv.direction == Direction(2)
             assert mv.speed == 1
 
     def test_dead_end_becomes_stay(self):
         w = World(radius=1, margin=1, target=HexCoord(1, 0), entry=HexCoord(0, 0))
         obs = Observation(situation=HexCoord(0, 0))
-        mv = decide_move_aco(obs, PheromoneField(), w, AcoParams(), random.Random(0))
+        table = TransitionTable(w, AcoParams())
+        mv = decide_move_aco(obs, PheromoneField(), table, random.Random(0))
         assert mv.speed == 0
 
     def test_seeded_uniform_draw_is_stable(self):
@@ -210,7 +219,8 @@ class TestDecideMoveAco:
         obs = Observation(situation=HexCoord(0, 0))
         u = random.Random(123).random()
         expected_index = min(int(u * 6), 5)
-        mv = decide_move_aco(obs, PheromoneField(), w, AcoParams(), random.Random(123))
+        table = TransitionTable(w, AcoParams())
+        mv = decide_move_aco(obs, PheromoneField(), table, random.Random(123))
         assert mv.direction == Direction(expected_index)
 
     def test_trail_reinforcement_along_a_fixed_path(self):
@@ -225,3 +235,87 @@ class TestDecideMoveAco:
             assert f.level(cell) > 0.0
         never_visited = HexCoord(0, 2)
         assert f.level(never_visited) == 0.0
+
+
+class LastDraw:
+    """An rng whose one draw is the largest float below 1, where round-off
+    can leave the cumulative probabilities short of it."""
+
+    def random(self):
+        return 1 - 2**-53
+
+
+def outcome(f, *args):
+    """f(*args), or DeadEndError if it raises that."""
+    try:
+        return f(*args)
+    except DeadEndError:
+        return DeadEndError
+
+
+@st.composite
+def aco_cases(draw):
+    """(world, cell, replica, observation, params): an interior, rim or
+    dead-end cell (k = 0 leaves one accessible cell), a replica that is
+    empty, has levels only away from the cell's neighbours, or has levels
+    on them, and a known or unknown target distance."""
+    k = draw(st.integers(0, 4))
+    cells = [HexCoord(q, r) for q in range(-k, k + 1) for r in range(-k, k + 1) if abs(q + r) <= k]
+    w = World(radius=k + 1, margin=1, target=draw(st.sampled_from(cells)), entry=cells[0])
+    cell = draw(st.sampled_from(cells))
+    neighbors = {step(cell, d) for d in DIRECTIONS}
+    levels = draw(st.dictionaries(st.sampled_from(cells), st.floats(1e-9, 20.0)))
+    replica = draw(st.sampled_from(["empty", "away", "any"]))
+    if replica == "empty":
+        levels = {}
+    elif replica == "away":
+        levels = {c: lv for c, lv in levels.items() if c not in neighbors}
+    params = AcoParams(
+        alpha=draw(st.floats(0.0, 6.0)),
+        beta=draw(st.floats(0.0, 6.0)),
+        floor=draw(st.sampled_from([0.0, 0.01]) | st.floats(0.0, 3.0)),
+    )
+    known = draw(st.none() | st.integers(0, 2 * k))
+    obs = Observation(situation=cell, best_known_target_distance=known)
+    return w, cell, PheromoneField(params, levels), obs, params
+
+
+class TestTransitionTable:
+    """The table-driven rule must repeat the oracle's floats bit for bit, so
+    that every run's bytes stay the same."""
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(aco_cases(), st.integers(0, 2**32 - 1) | st.none())
+    def test_table_matches_the_oracle(self, case, seed):
+        w, cell, pher, obs, params = case
+        rng = (lambda: LastDraw()) if seed is None else (lambda: random.Random(seed))
+        args = (cell, pher, obs, w, params)
+        assert outcome(transition_probs, *args) == outcome(reference.transition_probs, *args)
+        table = TransitionTable(w, params)
+        for _ in range(2):  # filling the row, then reading it
+            move = decide_move_aco(obs, pher, table, rng())
+            assert move == reference.decide_move_aco(obs, pher, w, params, rng())
+
+    def test_a_draw_past_the_running_sum_takes_the_last_direction(self):
+        # these probabilities sum to 1 - 2^-52, so the largest draw below 1
+        # passes them all and the round-off guard moves toward direction 5,
+        # whose weight is 0
+        w = small_world()
+        c = HexCoord(0, 0)
+        params = AcoParams(beta=0.0, floor=0.0)
+        levels = dict(zip((step(c, d) for d in DIRECTIONS), (0.2, 0.9, 0.1, 0.3, 0.1)))
+        f = PheromoneField(params, levels)
+        obs = Observation(situation=c)
+        probs = transition_probs(c, f, obs, w, params)
+        assert probs == reference.transition_probs(c, f, obs, w, params)
+        assert sum(p for _, p in probs) == 1 - 2**-52 and probs[-1] == (Direction(5), 0.0)
+        expected = reference.decide_move_aco(obs, f, w, params, LastDraw())
+        move = decide_move_aco(obs, f, TransitionTable(w, params), LastDraw())
+        assert move == expected == Move(Direction(5), 1)
+
+    def test_rows_are_filled_only_for_looked_up_keys(self):
+        w = small_world()
+        table = TransitionTable(w, AcoParams())
+        obs = Observation(situation=HexCoord(0, 0))
+        decide_move_aco(obs, PheromoneField(), table, random.Random(1))
+        assert list(table) == [(HexCoord(0, 0), False)]

@@ -281,6 +281,23 @@ class TestValidation:
         with pytest.raises(ConfigError, match="population"):
             parse_config("[ga]\npopulation = 7\n")
 
+    @pytest.mark.parametrize("alpha", ["400", "308"])
+    def test_overflowing_aco_weights_name_alpha(self, tmp_path, capsys, alpha):
+        """(10 + 10)^400 raised OverflowError mid-run, and six weights of
+        20^308 summed to inf, which sent every robot the last direction."""
+        scenario = tmp_path / "scenario.cfg"
+        scenario.write_text(f"controller = aco\n[aco]\nfloor = 10\nalpha = {alpha}\n")
+        assert main(["--scenario", str(scenario), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err.startswith("hexswarm: error: alpha: ")
+
+    def test_largest_finite_weight_sum_is_kept(self):
+        # levels stay below 1 / 0.5 = 2: six weights sum to at most 6 * 2^alpha,
+        # finite at alpha = 1021 and past the largest float at alpha = 1022.
+        section = "[aco]\nevaporation = 0.5\nfloor = 0\nalpha = "
+        assert parse_config(section + "1021\n").aco.alpha == 1021
+        with pytest.raises(ConfigError, match="^alpha: "):
+            parse_config(section + "1022\n")
+
 
 class TestOverrides:
     def test_override_replaces_top_level_field(self):
@@ -334,7 +351,7 @@ def valid_configs(draw):
     robots = draw(st.integers(1, min(3 * k * (k + 1) + 1, 300)))
     removal = st.tuples(st.integers(0, 10**6), st.integers(0, robots - 1))
     population = draw(st.integers(1, 50)) * 2
-    return ScenarioConfig(
+    cfg = ScenarioConfig(
         controller=draw(st.sampled_from(CONTROLLERS)),
         robots=robots,
         radius=radius,
@@ -368,6 +385,13 @@ def valid_configs(draw):
             leader_timeout=draw(st.integers(1, 1000)),
         ),
     )
+    # Valid only while the six largest transition weights sum to a finite float.
+    aco = cfg.aco
+    try:
+        assume(math.isfinite(6 * (aco.deposit_scale / aco.evaporation + aco.floor) ** aco.alpha))
+    except OverflowError:
+        assume(False)
+    return cfg
 
 
 def render(value) -> str:

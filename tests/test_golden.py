@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from hexswarm import cli
+from hexswarm import cli, engine
 from hexswarm.cli import build_parser, field_csv, main, trace_csv, tracker_csv
 from hexswarm.comms import TrackerLog
 from hexswarm.config import config_overrides, parse_config
@@ -188,6 +188,52 @@ def test_ttl_0_matches_recorded_digests(tmp_path, cpus):
         code = subprocess.run(argv, timeout=60).returncode
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
         assert (code, digests) == golden, ttl
+
+
+def digests_of(out: Path) -> dict[str, str]:
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.iterdir())}
+
+
+def test_each_aco_run_builds_its_own_transition_table(tmp_path):
+    """aco_trails, then with other [aco] params, then with another target,
+    one after another in this process: each must write what a fresh process
+    writes. A robot that knows a target distance weighs a move by eta^beta,
+    which follows beta and the target, so a table kept from an earlier run
+    would move it elsewhere."""
+    base = (REPO / "scenarios/aco_trails.cfg").read_text()
+    other_params = base.replace("alpha = 1.0", "alpha = 2.0").replace("beta = 2.0", "beta = 0.5")
+    runs = []
+    for i, text in enumerate([base, other_params, "target = 4,6\n" + base]):
+        scenario = tmp_path / f"aco{i}.cfg"
+        scenario.write_text(text)
+        flags = ["--scenario", str(scenario), "--seed", "1", "--ticks", "150"]
+        code = main([*flags, "--out", str(tmp_path / f"here{i}")])
+        fresh = tmp_path / f"fresh{i}"
+        argv = [sys.executable, "-I", "-c", MAIN_ON_CPUS, str(REPO / "src"), "2", *flags]
+        assert subprocess.run([*argv, "--out", str(fresh)], timeout=60).returncode == code
+        assert digests_of(tmp_path / f"here{i}") == digests_of(fresh), i
+        runs.append(digests_of(fresh)["trace.csv"])
+    assert len(set(runs)) == 3
+
+
+def test_golden_aco_case_takes_both_branches_of_the_rule(tmp_path, monkeypatch):
+    """Over aco_trails at seed 1 some decisions are made in still air (no
+    trail on any neighbour) and some with a trail on a neighbour, so its
+    digests cover both of ``decide_move_aco``'s ways to the cumulative sum."""
+    branches = {"still air": 0, "trail": 0}
+    decide = engine.decide_move_aco
+
+    def counting(obs, pher, table, rng):
+        # the first six entries of a geometry row are the cell's neighbours
+        neighbors = [n for n in table.geometry[obs.situation][:6] if n is not None]
+        if obs.situation != table.target and neighbors:
+            trail = any(n in pher.levels for n in neighbors)
+            branches["trail" if trail else "still air"] += 1
+        return decide(obs, pher, table, rng)
+
+    monkeypatch.setattr(engine, "decide_move_aco", counting)
+    test_outputs_match_recorded_digests(tmp_path, "scenarios/aco_trails.cfg", "--seed 1")
+    assert min(branches.values()) > 0, branches
 
 
 def cli_configs(scenario: Path, flags: str):
