@@ -5,7 +5,7 @@ knowledge over a range-limited multi-hop ad hoc network. Everything is
 seedable and replays bit-identically.
 """
 
-from .aco import AcoParams, DeadEndError, PheromoneField, decide_move_aco, transition_probs
+from .aco import AcoParams, PheromoneField, TransitionTable, decide_move_aco
 from .bco import (
     BcoParams,
     DanceBoard,

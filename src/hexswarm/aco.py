@@ -7,7 +7,9 @@ distance is d deposits Q / (1 + d) at its reported cell, so robots closer
 to the target write stronger trails. The engine deposits only sensed
 distances: robots that do not sense the target leave no trail.
 
-A run reads the rule from one ``TransitionTable``: in still air, with no
+The rule has one way in, a run's ``TransitionTable``: ``table[cell,
+known]`` gives the cell's row, and ``table.probs`` the probabilities over
+its accessible directions given a replica's levels. In still air, with no
 trail on any neighbouring cell, a move is one draw and one bisect over the
 cell's cached cumulative probabilities.
 """
@@ -15,17 +17,13 @@ cell's cached cumulative probabilities.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .hexworld import DIRECTIONS, TARGET_DISTANCE, Direction, HexCoord, Move, Observation, World
 
 PRUNE_LEVEL = 1e-9
-
-
-class DeadEndError(Exception):
-    """No accessible neighbor to move to; the engine turns this into a stay."""
 
 
 @dataclass
@@ -93,7 +91,8 @@ class TransitionTable(dict):
         return self.setdefault(key, (row, *self.rules.setdefault(rule, rule)))
 
     def probs(self, levels: dict, row: tuple, dirs: tuple, eta_betas: tuple) -> list[float]:
-        """The rule's probabilities over dirs, given a replica's levels."""
+        """The rule's probabilities over dirs given a replica's levels: weights
+        (tau + tau0)^alpha * eta^beta normalized, or uniform if all underflow."""
         floor, alpha = self.params.floor, self.params.alpha
         taus = [levels.get(row[d], 0.0) + floor for d in dirs]
         weights = [tau**alpha * eta_beta for tau, eta_beta in zip(taus, eta_betas)]
@@ -101,26 +100,6 @@ class TransitionTable(dict):
         if total <= 0.0:
             return [1.0 / len(weights) for _ in weights]
         return [wt / total for wt in weights]
-
-
-def transition_probs(
-    c: HexCoord,
-    pher: PheromoneField,
-    obs: Observation,
-    w: World,
-    params: AcoParams,
-) -> list[tuple[Direction, float]]:
-    """Normalized move probabilities over accessible neighbors of c.
-
-    weight(d) = (tau(n_d) + tau0)^alpha * eta(n_d)^beta, with eta the inverse
-    landing distance to the target when the robot knows a target distance and
-    1 otherwise. Falls back to uniform if every weight underflows to 0.
-    """
-    table = TransitionTable(w, params)
-    row, dirs, eta_betas, _ = table[c, obs.best_known_target_distance is not None]
-    if not dirs:
-        raise DeadEndError(f"no accessible neighbor at {tuple(c)}")
-    return list(zip(dirs, table.probs(pher.levels, row, dirs, eta_betas)))
 
 
 def decide_move_aco(
@@ -134,5 +113,6 @@ def decide_move_aco(
     levels = pher.levels
     if levels and any(row[d] in levels for d in dirs):
         cum = list(accumulate(table.probs(levels, row, dirs, eta_betas)))
+    # a draw past the sum (fp round-off at u ~ 1) takes the last direction adding to it
     i = bisect_right(cum, rng.random())
-    return Move(dirs[min(i, len(dirs) - 1)], 1)  # past the end: fp round-off at u ~ 1
+    return Move(dirs[i if i < len(cum) else bisect_left(cum, cum[-1])], 1)

@@ -53,7 +53,6 @@ class WorldConfigError(ValueError):
     """Raised when world parameters are inconsistent; names the offending field."""
 
     def __init__(self, field_name: str, message: str):
-        self.field = field_name
         super().__init__(f"{field_name}: {message}")
 
 

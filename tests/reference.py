@@ -5,9 +5,9 @@ is tested against. A run executes one inlined loop over genes
 ``direction * 3 + speed``. These operators draw from the rng in the order
 that loop must match.
 
-The ACO transition rule computed afresh on every call, the reference
-``hexswarm.aco``'s table-driven ``transition_probs`` and ``decide_move_aco``
-are tested against bit for bit.
+The ACO transition rule computed afresh on every call, the reference the
+run's ``hexswarm.aco.TransitionTable`` and ``decide_move_aco`` are tested
+against bit for bit.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple
 
-from hexswarm.aco import AcoParams, DeadEndError, PheromoneField
+from hexswarm.aco import AcoParams, PheromoneField
 from hexswarm.ga import GaParams, fitness_table
 from hexswarm.hexworld import (
     TARGET_DISTANCE,
@@ -26,6 +26,10 @@ from hexswarm.hexworld import (
     World,
     accessible_neighbors,
 )
+
+
+class DeadEndError(Exception):
+    """No accessible neighbor to move to; ``decide_move_aco`` stays instead."""
 
 
 class Chromosome(NamedTuple):
@@ -133,7 +137,9 @@ def decide_move_aco(
     u = rng.random()
     cum = 0.0
     for d, p in probs:
+        if cum + p > cum:
+            last = d  # d adds to the sum, so its probability is above 0
         cum += p
         if u < cum:
             return Move(d, 1)
-    return Move(probs[-1][0], 1)  # guard against fp round-off at u ~ 1
+    return Move(last, 1)  # guard against fp round-off at u ~ 1: the last d to add

@@ -10,7 +10,7 @@ from collections import deque
 
 import pytest
 
-from hexswarm.aco import AcoParams, PheromoneField, transition_probs
+from hexswarm.aco import AcoParams, PheromoneField, TransitionTable
 from hexswarm.bco import BcoParams, DanceBoard, Task, choose_task, elect_leader
 from hexswarm.cli import trace_csv
 from hexswarm.comms import TrackerLog, comm_neighbors, flood_until_quiet, ids_of, neighbor_masks
@@ -164,6 +164,7 @@ def test_criterion_04_ga_elitism_never_regresses():
 def test_criterion_05_aco_probability_and_evaporation_laws():
     w = make_world(8, 1, HexCoord(4, 0), HexCoord(-4, 0))
     rng = random.Random(555)
+    table = TransitionTable(w, AcoParams())
     cases = 0
     while cases < 10_000:
         q = rng.randint(-7, 7)
@@ -180,7 +181,8 @@ def test_criterion_05_aco_probability_and_evaporation_laws():
             situation=cell,
             best_known_target_distance=rng.choice((None, rng.randint(0, 12))),
         )
-        probs = transition_probs(cell, field, obs, w, AcoParams())
+        row, dirs, eta_betas, _ = table[cell, obs.best_known_target_distance is not None]
+        probs = list(zip(dirs, table.probs(field.levels, row, dirs, eta_betas)))
         assert abs(sum(p for _, p in probs) - 1.0) < 1e-12
         for d, p in probs:
             assert p >= 0.0

@@ -110,3 +110,35 @@ def test_traced_deliveries_match_the_summary_for_every_controller(tmp_path, scen
     """As above, for the other two controllers; aco also writes field.csv."""
     names = assert_tracing_is_an_observer(tmp_path, scenario)
     assert ("field.csv" in names) == (scenario == "aco_trails.cfg")
+
+
+def test_only_the_reference_spans_go_unreached(tmp_path):
+    """A full-length traced run of each shipped scenario at seed 1 calls every
+    span but the five on the comms and CLI references that no run calls. A
+    refactor that strands another span leaves its metric reading 0."""
+    runs = [
+        ["--scenario", str(cfg), "--seed", "1", "--out", str(tmp_path / cfg.stem)]
+        for cfg in sorted((ROOT / "scenarios").glob("*.cfg"))
+    ]
+    each_run = TRACED_RUN.replace(
+        "cli.main(sys.argv[2:])", "for argv in json.loads(sys.argv[2]):\n    cli.main(argv)"
+    )
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", each_run, str(SPANS_PY), json.dumps(runs)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    calls = json.loads(proc.stdout)["calls"]
+    unreached = {name for _, _, name in load_spans().SPANS if not calls.get(name)}
+    assert len(runs) == 3
+    assert unreached == {
+        "comms.new_mailboxes",
+        "comms.send",
+        "comms.flood_round",
+        "cli.trace_csv",
+        "cli.tracker_csv",
+    }
