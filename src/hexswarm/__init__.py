@@ -17,11 +17,9 @@ from .bco import (
     elect_leader,
 )
 from .comms import (
-    Message,
     TrackerLog,
     comm_neighbors,
     connectivity_components,
-    flood_round,
     flood_until_quiet,
     neighbor_masks,
 )
@@ -44,7 +42,6 @@ from .hexworld import (
     Move,
     Observation,
     World,
-    WorldConfigError,
     accessible_neighbors,
     hex_distance,
     make_world,

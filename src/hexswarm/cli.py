@@ -2,10 +2,10 @@
 single run or a batch of consecutive seeds, and write trace/summary/field
 files atomically into the output directory.
 
-trace.csv and tracker.csv are streamed: rows go into temp files tick by tick
-and take their final names only when the run returns, so memory stays flat
-in max_ticks and a failed run leaves neither. A batch writes no tracker.csv:
-its runs have no tracker, so they format no tracker rows.
+trace.csv and tracker.csv are streamed, one ``_Stream`` each (tracker.csv's is
+the run's tracker, a ``_TrackerWriter``): rows go into temp files tick by
+tick and take their final names when the run returns, so memory stays flat in
+max_ticks and a failed run leaves neither. A batch has no tracker.csv.
 
 A single run where this process may use 2 CPUs or more forks one writer
 process at its first flood, which formats tracker.csv's rows while the run
@@ -76,10 +76,10 @@ def write_atomic(path: Path, data: str) -> None:
 
 
 class _Stream:
-    """One output csv written as the run goes: ``write`` takes text,
-    ``extend`` rows. Its atomic file is opened on first use and entered in
-    files, which renames it into place when it closes cleanly; so no file is
-    open before the run has built its state."""
+    """One output csv written as the run goes: ``extend`` takes rows. Its
+    atomic file is opened on first use and entered in files, which renames
+    it into place when it closes cleanly; so no file is open before the run
+    has built its state."""
 
     def __init__(self, files: ExitStack, path: Path, header: tuple[str, ...]) -> None:
         self._open = lambda: files.enter_context(atomic_file(path))
@@ -93,9 +93,6 @@ class _Stream:
             self._rows = csv.writer(self._fh, lineterminator="\n")
             self._rows.writerow(self._header)
         return self._fh
-
-    def write(self, text: str) -> None:
-        self.open().write(text)
 
     def extend(self, rows) -> None:
         self.open()
@@ -161,9 +158,9 @@ def _fork_piped(
         os._exit(status)
 
 
-class _TrackerWriter:
-    """tracker.csv's rows, formatted in a forked writer process while the
-    run goes on.
+class _TrackerWriter(_Stream):
+    """The tracker.csv stream, and the run's tracker: its rows are formatted
+    in a forked writer process while the run goes on.
 
     The first ``flood`` forks the writer, once the temp file is open and its
     header written, where this process may use 2 CPUs or more; it then sends
@@ -175,16 +172,14 @@ class _TrackerWriter:
     RuntimeError if it failed; the caller calls it before any file takes its
     final name."""
 
-    def __init__(self, stream: _Stream) -> None:
-        self._stream = stream
-        self._pid: Optional[int] = None  # the writer's, once flood has run; 0 without one
-        self._pipe: Optional[BinaryIO] = None
+    _pid: Optional[int] = None  # the writer's, once flood has run; 0 without one
+    _pipe: Optional[BinaryIO] = None
 
     def flood(self, masks: dict[int, int], outbox: dict[int, range], ttl: int, tick: int) -> None:
         if self._pid is None:
             self._pid = self._fork() if usable_cpus() >= 2 else 0
         if not self._pid:
-            self._stream.write(flood_rows(masks, outbox, ttl, tick))
+            self.open().write(flood_rows(masks, outbox, ttl, tick))
             return
         frame = marshal.dumps(
             (masks, {origin: (s.start, s.stop) for origin, s in outbox.items()}, ttl, tick)
@@ -193,7 +188,7 @@ class _TrackerWriter:
 
     def _fork(self) -> int:
         """The writer's pid, or 0 where no pipe or process can be made."""
-        fh = self._stream.open()
+        fh = self.open()
         fh.flush()  # else the writer's copy of the buffer writes the header again
 
         def write_rows(frames_fd: int) -> None:
@@ -229,18 +224,15 @@ class _TrackerWriter:
 
 def stream_run(cfg: ScenarioConfig, out_dir: Path, suffix: str = "") -> RunResult:
     """Run cfg, streaming trace{suffix}.csv and, without a suffix,
-    tracker.csv, its rows formatted by a ``_TrackerWriter``; then write
-    field{suffix}.csv for aco."""
+    tracker.csv, a ``_TrackerWriter``; then write field{suffix}.csv for aco."""
     with ExitStack() as files:
         streams = [_Stream(files, out_dir / f"trace{suffix}.csv", TRACE_HEADER)]
-        tracker = None  # a batch seed has none, so it formats no tracker row
-        if not suffix:
-            streams.append(_Stream(files, out_dir / "tracker.csv", TRACKER_CSV_HEADER))
-            tracker = _TrackerWriter(streams[1])
+        if not suffix:  # a batch seed has no tracker, so it formats no tracker row
+            streams.append(_TrackerWriter(files, out_dir / "tracker.csv", TRACKER_CSV_HEADER))
         try:
-            result = run(cfg, streams[0], tracker)
+            result = run(cfg, *streams)  # the trace, and the tracker if there is one
         finally:
-            if tracker is not None:
+            for tracker in streams[1:]:
                 tracker.close()  # before any file takes its final name
         for stream in streams:
             stream.open()  # a run without rows still gets its header

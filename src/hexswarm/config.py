@@ -6,6 +6,7 @@ repeated sections are rejected with their line number. Full-line comments
 start with '#'. Lines, keys, values and their parts may be padded with ASCII
 spaces and tabs only. Numbers are ASCII only, in one grammar shared with the
 CLI's integer flags (``ascii_int``, ``ascii_float``).
+Each rejection raises ``ConfigError``, a ValueError defined in ``hexworld``.
 """
 
 from __future__ import annotations
@@ -18,14 +19,10 @@ from typing import Any, Callable, get_type_hints
 from .aco import AcoParams
 from .bco import BcoParams
 from .ga import GaParams
-from .hexworld import HexCoord, WorldConfigError, make_world
+from .hexworld import ConfigError, HexCoord, make_world
 
 CONTROLLERS = ("ga", "aco", "bco")
 _PADDING = " \t"  # all that is trimmed; any other whitespace is part of the text
-
-
-class ConfigError(ValueError):
-    """Bad scenario text or values; the message names the line or field."""
 
 
 @dataclass
@@ -157,10 +154,7 @@ def _require(cond: bool, field_name: str, msg: str) -> None:
 
 def validate_config(cfg: ScenarioConfig) -> None:
     _require(cfg.controller in CONTROLLERS, "controller", f"must be one of {CONTROLLERS}")
-    try:
-        world = make_world(cfg.radius, cfg.margin, cfg.target, cfg.entry)
-    except WorldConfigError as exc:
-        raise ConfigError(str(exc)) from exc
+    world = make_world(cfg.radius, cfg.margin, cfg.target, cfg.entry)
     _require(cfg.robots >= 1, "robots", "must be >= 1")
     _require(
         cfg.robots <= world.accessible_cell_count(),

@@ -8,6 +8,9 @@ from the rim.
 
 A world's geometry is fixed, so every step, neighbour list and distance to
 the target is read from one per-world table, ``World.geometry``.
+
+``ConfigError``, the one error for bad input, a world's or a scenario's,
+lives here, in the module every other one imports.
 """
 
 from __future__ import annotations
@@ -49,11 +52,9 @@ DIRECTION_OFFSETS: tuple[tuple[int, int], ...] = (
 DIRECTIONS: tuple[Direction, ...] = tuple(Direction)
 
 
-class WorldConfigError(ValueError):
-    """Raised when world parameters are inconsistent; names the offending field."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(f"{field_name}: {message}")
+class ConfigError(ValueError):
+    """Bad input: scenario text or values, a world's bounds, or a CLI flag;
+    the message names the line or field."""
 
 
 @dataclass
@@ -179,18 +180,18 @@ def accessible_neighbors(w: World, c: HexCoord) -> list[tuple[Direction, HexCoor
 
 
 def make_world(radius: int, margin: int, target: HexCoord, entry: HexCoord) -> World:
-    """Build an empty world, validating bounds and the two special cells."""
+    """Build an empty world; a bad bound or special cell raises ConfigError."""
     if radius < 1:
-        raise WorldConfigError("radius", f"must be >= 1, got {radius}")
+        raise ConfigError(f"radius: must be >= 1, got {radius}")
     if margin < 0:
-        raise WorldConfigError("margin", f"must be >= 0, got {margin}")
+        raise ConfigError(f"margin: must be >= 0, got {margin}")
     if margin >= radius:
-        raise WorldConfigError("margin", f"must be < radius ({radius}), got {margin}")
+        raise ConfigError(f"margin: must be < radius ({radius}), got {margin}")
     w = World(radius=radius, margin=margin, target=target, entry=entry)
     if not w.accessible(target):
-        raise WorldConfigError("target", f"{tuple(target)} is not an accessible cell")
+        raise ConfigError(f"target: {tuple(target)} is not an accessible cell")
     if not w.accessible(entry):
-        raise WorldConfigError("entry", f"{tuple(entry)} is not an accessible cell")
+        raise ConfigError(f"entry: {tuple(entry)} is not an accessible cell")
     if target == entry:
-        raise WorldConfigError("entry", "entry must differ from target")
+        raise ConfigError("entry: entry must differ from target")
     return w

@@ -118,9 +118,11 @@ class TestSingleRun:
 
     def test_peak_memory_is_flat_in_max_ticks(self, tmp_path):
         """The CLI streams trace.csv and tracker.csv, so a run four times as
-        long peaks about as high. Measured on aco_trails seed 3 (Python
-        3.11): streamed 357 KiB at 50 ticks and 422 KiB at 200; kept in
-        memory until the run ended, 508 KiB and 1,233 KiB."""
+        long peaks about as high. Measured on aco_trails seed 3 (2 CPUs,
+        so the writer forks; Python 3.11.7): streamed 446 KiB at 50 ticks
+        and 566 KiB at 200 in the full suite, 474 KiB and 610 KiB when run
+        by itself, a growth of 119-136 KiB that leaves 64-81 KiB under the
+        bound; kept in memory until the run ended, 508 KiB and 1,233 KiB."""
         scenario = str(REPO / "scenarios/aco_trails.cfg")
 
         def peak(ticks):

@@ -1,7 +1,10 @@
 """The package declares ``dependencies = []``: importing it and its CLI
-must load nothing from outside the standard library."""
+must load nothing from outside the standard library. It also declares
+``requires-python = ">=3.10"``: every file must parse at that floor."""
 
+import ast
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -93,3 +96,22 @@ def test_single_run_with_a_writer_process_loads_no_pickle_or_pool(tmp_path):
     assert len((tmp_path / "tracker.csv").read_text().splitlines()) > 1
     names = {name.partition(".")[0] for name in loaded["modules"]}
     assert [name for name in ("multiprocessing", "concurrent", "pickle") if name in names] == []
+
+
+ROOT = SRC.parent
+
+
+def test_every_file_parses_at_the_declared_python_floor():
+    """Every .py under src/, tests/ and demos/ parses with the grammar of
+    ``requires-python``'s floor. Only the grammar is checked (``except*``,
+    say), not the standard library's API (``tomllib``, say), and ``ast``'s
+    feature_version check is best effort. The floor is read with a regex, as
+    ``tomllib`` is new in 3.11."""
+    pyproject = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    match = re.search(r'^requires-python = ">=(\d+)\.(\d+)"$', pyproject, re.MULTILINE)
+    assert match, "requires-python is not a '>=X.Y' floor"
+    floor = (int(match[1]), int(match[2]))
+    paths = sorted(path for top in ("src", "tests", "demos") for path in (ROOT / top).rglob("*.py"))
+    assert paths
+    for path in paths:
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=floor)

@@ -15,10 +15,10 @@ from hexswarm.hexworld import (
     DIRECTION_OFFSETS,
     DIRECTIONS,
     TARGET_DISTANCE,
+    ConfigError,
     Direction,
     HexCoord,
     World,
-    WorldConfigError,
     accessible_cells,
     accessible_neighbors,
     hex_distance,
@@ -145,15 +145,15 @@ class TestMakeWorld:
         assert sum(1 for _ in accessible_cells(w)) == 7
 
     def test_margin_equal_radius_rejected(self):
-        with pytest.raises(WorldConfigError, match="margin"):
+        with pytest.raises(ConfigError, match="margin"):
             make_world(5, 5, HexCoord(0, 0), HexCoord(1, 0))
 
     def test_inaccessible_target_rejected(self):
-        with pytest.raises(WorldConfigError, match="target"):
+        with pytest.raises(ConfigError, match="target"):
             make_world(5, 1, HexCoord(5, 0), HexCoord(0, 0))
 
     def test_entry_must_differ_from_target(self):
-        with pytest.raises(WorldConfigError, match="entry"):
+        with pytest.raises(ConfigError, match="entry"):
             make_world(5, 1, HexCoord(1, 0), HexCoord(1, 0))
 
     def test_new_world_is_empty(self):
